@@ -155,7 +155,10 @@ def _parse_sequence(model: CategoryModel, text: str) -> StrObject:
     text = text.strip()
     if text in ("", "1", "()"):
         return StrObject(())
-    return StrObject(tuple(model.parse_obj(part.strip()) for part in text.split(",")))
+    try:
+        return StrObject(tuple(model.parse_obj(part.strip()) for part in text.split(",")))
+    except CompositionError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_strictify(args) -> int:
@@ -203,7 +206,10 @@ def cmd_strictify(args) -> int:
 
 def _parse_qobject(model: CategoryModel, text: str) -> QObject:
     term = _parse_term_arg(text)
-    entries = tuple(model.parse_obj(label) for label in forget_parens(term))
+    try:
+        entries = tuple(model.parse_obj(label) for label in forget_parens(term))
+    except CompositionError as exc:
+        raise UsageError(str(exc)) from exc
     return QObject(entries, collapse(term))
 
 

@@ -185,19 +185,31 @@ class NatTransData:
             raise ValueError(f"{self.name}: endpoints must be parallel functors")
 
 
-def identity_functor(model: CategoryModel, name: str = "Id") -> MonFunctorData:
+def strict_functor(
+    source: CategoryModel, target: CategoryModel, obj_map: Callable, mor_map: Callable, name: str
+) -> MonFunctorData:
+    """A strict monoidal functor: identity coherence arrows throughout."""
+
+    def gamma(x, y):
+        return target.identity(target.tensor_obj(obj_map(x), obj_map(y)))
+
+    unit = target.identity(target.unit_obj)
     return MonFunctorData(
-        source=model,
-        target=model,
-        obj_map=lambda x: x,
-        mor_map=lambda f: f,
-        gamma=lambda x, y: model.identity(model.tensor_obj(x, y)),
-        gamma_inv=lambda x, y: model.identity(model.tensor_obj(x, y)),
-        u=model.identity(model.unit_obj),
-        u_inv=model.identity(model.unit_obj),
+        source=source,
+        target=target,
+        obj_map=obj_map,
+        mor_map=mor_map,
+        gamma=gamma,
+        gamma_inv=gamma,
+        u=unit,
+        u_inv=unit,
         strength="strict",
         name=name,
     )
+
+
+def identity_functor(model: CategoryModel, name: str = "Id") -> MonFunctorData:
+    return strict_functor(model, model, lambda x: x, lambda f: f, name)
 
 
 def identity_nat(functor: MonFunctorData, name: str = "id") -> NatTransData:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
 from .core import (
     CategoryModel,
     MonFunctorData,
@@ -20,8 +21,15 @@ from .core import (
     whisker_left,
     whisker_right,
 )
-from .nonstrictify import embed_j_functor, lift_nonstrict, q_model, q_nat, q_functor, qobjs_over
-from .strictify import embed_functor, lift_strict, seqs_over, str_functor, str_model, str_nat
+from .nonstrictify import (
+    NonStrictifiedModel,
+    construction,
+    embedding,
+    induced_functor,
+    induced_nat,
+    lift,
+)
+from .strictify import StrictifiedModel
 
 
 @dataclass
@@ -142,17 +150,13 @@ def compare_nats(
             )
 
 
-def _str_universe(fixtures, model: CategoryModel, max_len: int = 2, base_objects=None):
-    base = fixtures.objects_for(model) if base_objects is None else base_objects
-    objs = seqs_over(base, max_len)
-    arrows = _transported_arrows(str_model(model), objs, fixtures.arrows_for(model))
-    return objs, arrows
+_CONSTRUCTIONS = (StrictifiedModel, NonStrictifiedModel)  # in report order
 
 
-def _q_universe(fixtures, model: CategoryModel, max_leaves: int = 2, base_objects=None):
+def _universe(cls: type, fixtures, model: CategoryModel, size: int = 2, base_objects=None):
     base = fixtures.objects_for(model) if base_objects is None else base_objects
-    objs = qobjs_over(base, max_leaves)
-    arrows = _transported_arrows(q_model(model), objs, fixtures.arrows_for(model))
+    objs = cls.objects_over(base, size)
+    arrows = _transported_arrows(construction(cls, model), objs, fixtures.arrows_for(model))
     return objs, arrows
 
 
@@ -163,21 +167,12 @@ def _transported_arrows(wrapped, objs, base_arrows):
     transports a base arrow sample along length-one objects.
     """
     out = []
-    enumerable = True
     for s in objs:
         for t in objs:
             hom = wrapped.hom(s, t)
             if hom is None:
-                enumerable = False
-                break
+                return [wrapped.embed_arrow(f) for f in base_arrows]
             out.extend(hom)
-        if not enumerable:
-            break
-    if enumerable:
-        return out
-    out = []
-    for f in base_arrows:
-        out.append(wrapped.embed_arrow(f))
     return out
 
 
@@ -189,172 +184,104 @@ def run_2functor_suite(fixtures, seed: int = 0, max_len: int = 2) -> LawReport:
         # the identity laws are definitional; three base objects per model keep
         # the sequence universes small without losing shape coverage
         base = fixtures.objects_for(model)[:3]
-        objs, arrows = _str_universe(fixtures, model, max_len, base_objects=base)
-        compare_functors(
-            report,
-            f"str-identity:{model.name}",
-            str_functor(identity_functor(model)),
-            identity_functor(str_model(model)),
-            objs,
-            arrows,
-        )
-        qobjs, qarrows = _q_universe(fixtures, model, max_len, base_objects=base)
-        compare_functors(
-            report,
-            f"q-identity:{model.name}",
-            q_functor(identity_functor(model)),
-            identity_functor(q_model(model)),
-            qobjs,
-            qarrows,
-        )
+        for cls in _CONSTRUCTIONS:
+            objs, arrows = _universe(cls, fixtures, model, max_len, base_objects=base)
+            compare_functors(
+                report,
+                f"{cls.tag}-identity:{model.name}",
+                induced_functor(cls, identity_functor(model)),
+                identity_functor(construction(cls, model)),
+                objs,
+                arrows,
+            )
 
     for f2, f1 in fixtures.composable_pairs:
-        objs, arrows = _str_universe(fixtures, f1.source, max_len)
-        compare_functors(
-            report,
-            f"str-compose:{f2.name}o{f1.name}",
-            str_functor(compose_functors(f2, f1)),
-            compose_functors(str_functor(f2), str_functor(f1)),
-            objs,
-            arrows,
-            ambient=str_model(f2.target),
-        )
-        qobjs, qarrows = _q_universe(fixtures, f1.source, max_len)
-        compare_functors(
-            report,
-            f"q-compose:{f2.name}o{f1.name}",
-            q_functor(compose_functors(f2, f1)),
-            compose_functors(q_functor(f2), q_functor(f1)),
-            qobjs,
-            qarrows,
-            ambient=q_model(f2.target),
-        )
+        for cls in _CONSTRUCTIONS:
+            objs, arrows = _universe(cls, fixtures, f1.source, max_len)
+            compare_functors(
+                report,
+                f"{cls.tag}-compose:{f2.name}o{f1.name}",
+                induced_functor(cls, compose_functors(f2, f1)),
+                compose_functors(induced_functor(cls, f2), induced_functor(cls, f1)),
+                objs,
+                arrows,
+                ambient=construction(cls, f2.target),
+            )
 
     for b, a in fixtures.vertical_pairs:
-        objs, _ = _str_universe(fixtures, a.dom.source, max_len)
-        compare_nats(
-            report,
-            f"str-vertical:{b.name}o{a.name}",
-            str_nat(compose_nats(b, a)),
-            compose_nats(str_nat(b), str_nat(a)),
-            objs,
-            ambient=str_model(a.dom.target),
-        )
-        qobjs, _ = _q_universe(fixtures, a.dom.source, max_len)
-        compare_nats(
-            report,
-            f"q-vertical:{b.name}o{a.name}",
-            q_nat(compose_nats(b, a)),
-            compose_nats(q_nat(b), q_nat(a)),
-            qobjs,
-            ambient=q_model(a.dom.target),
-        )
+        for cls in _CONSTRUCTIONS:
+            objs, _ = _universe(cls, fixtures, a.dom.source, max_len)
+            compare_nats(
+                report,
+                f"{cls.tag}-vertical:{b.name}o{a.name}",
+                induced_nat(cls, compose_nats(b, a)),
+                compose_nats(induced_nat(cls, b), induced_nat(cls, a)),
+                objs,
+                ambient=construction(cls, a.dom.target),
+            )
 
     for a2, a1 in fixtures.horizontal_pairs:
-        objs, _ = _str_universe(fixtures, a1.dom.source, max_len)
-        compare_nats(
-            report,
-            f"str-horizontal:{a2.name}*{a1.name}",
-            str_nat(hcompose_nats(a2, a1)),
-            hcompose_nats(str_nat(a2), str_nat(a1)),
-            objs,
-            ambient=str_model(a2.dom.target),
-        )
-        qobjs, _ = _q_universe(fixtures, a1.dom.source, max_len)
-        compare_nats(
-            report,
-            f"q-horizontal:{a2.name}*{a1.name}",
-            q_nat(hcompose_nats(a2, a1)),
-            hcompose_nats(q_nat(a2), q_nat(a1)),
-            qobjs,
-            ambient=q_model(a2.dom.target),
-        )
+        for cls in _CONSTRUCTIONS:
+            objs, _ = _universe(cls, fixtures, a1.dom.source, max_len)
+            compare_nats(
+                report,
+                f"{cls.tag}-horizontal:{a2.name}*{a1.name}",
+                induced_nat(cls, hcompose_nats(a2, a1)),
+                hcompose_nats(induced_nat(cls, a2), induced_nat(cls, a1)),
+                objs,
+                ambient=construction(cls, a2.dom.target),
+            )
 
     return report
 
 
-def run_adjunction_suite_str(fixtures, seed: int = 0, max_len: int = 2) -> LawReport:
+def _run_adjunction_suite(cls: type, scenarios, fixtures, seed: int, size: int) -> LawReport:
     """Both round trips of the hom isomorphism plus its naturality equalities."""
-    report = LawReport(law="adjunction-str", seed=seed)
+    report = LawReport(law=f"adjunction-{cls.tag}", seed=seed)
 
-    for scenario in fixtures.str_scenarios:
+    for scenario in scenarios:
         c, f = scenario.ambient, scenario.functor
-        tag = f"{scenario.name}"
-        lifted = lift_strict(f)
-        embed = embed_functor(c)
+        tag, name = cls.tag, scenario.name
+        lifted = lift(cls, f)
+        embed = embedding(cls, c)
         c_objs = fixtures.objects_for(c)
         c_arrows = fixtures.arrows_for(c)
 
         # round trip through the embedding: (lift F) o i = F, with coherence data
-        compare_functors(
-            report, f"str-counit:{tag}", compose_functors(lifted, embed), f, c_objs, c_arrows
-        )
+        compare_functors(report, f"{tag}-counit:{name}", compose_functors(lifted, embed), f, c_objs, c_arrows)
 
-        # round trip the other way: lifting the restriction returns the strict functor
-        objs, arrows = _str_universe(fixtures, c, max_len)
-        relift = lift_strict(compose_functors(lifted, embed), allow_nonstrict_target=True)
-        compare_functors(report, f"str-unit:{tag}", relift, lifted, objs, arrows)
+        # round trip the other way: lifting the restriction returns the lift
+        objs, arrows = _universe(cls, fixtures, c, size)
+        relift = lift(cls, compose_functors(lifted, embed), True)
+        compare_functors(report, f"{tag}-unit:{name}", relift, lifted, objs, arrows)
 
         # naturality in the monoidal category argument
         h = scenario.inner
         c2_objs = fixtures.objects_for(h.source)
         c2_arrows = fixtures.arrows_for(h.source)
         lhs = compose_functors(f, h)
-        rhs = compose_functors(lifted, compose_functors(str_functor(h), embed_functor(h.source)))
-        compare_functors(report, f"str-natural-functor:{tag}", lhs, rhs, c2_objs, c2_arrows)
+        rhs = compose_functors(lifted, compose_functors(induced_functor(cls, h), embedding(cls, h.source)))
+        compare_functors(report, f"{tag}-natural-functor:{name}", lhs, rhs, c2_objs, c2_arrows)
 
-        # naturality for 2-cells: whiskering the strictified transformation
+        # naturality for 2-cells: whiskering the induced transformation
         eps = scenario.nat
-        lhs_nat = whisker_right(str_nat(eps), embed_functor(eps.dom.source))
-        rhs_nat = whisker_left(embed_functor(eps.dom.target), eps)
+        lhs_nat = whisker_right(induced_nat(cls, eps), embedding(cls, eps.dom.source))
+        rhs_nat = whisker_left(embedding(cls, eps.dom.target), eps)
         compare_nats(
             report,
-            f"str-natural-2cell:{tag}",
+            f"{tag}-natural-2cell:{name}",
             lhs_nat,
             rhs_nat,
             fixtures.objects_for(eps.dom.source),
-            ambient=str_model(eps.dom.target),
+            ambient=construction(cls, eps.dom.target),
         )
 
     return report
+
+
+def run_adjunction_suite_str(fixtures, seed: int = 0, max_len: int = 2) -> LawReport:
+    return _run_adjunction_suite(StrictifiedModel, fixtures.str_scenarios, fixtures, seed, max_len)
 
 
 def run_adjunction_suite_q(fixtures, seed: int = 0, max_leaves: int = 2) -> LawReport:
-    report = LawReport(law="adjunction-q", seed=seed)
-
-    for scenario in fixtures.q_scenarios:
-        c, f = scenario.ambient, scenario.functor
-        tag = f"{scenario.name}"
-        lifted = lift_nonstrict(f)
-        embed = embed_j_functor(c)
-        c_objs = fixtures.objects_for(c)
-        c_arrows = fixtures.arrows_for(c)
-
-        compare_functors(
-            report, f"q-counit:{tag}", compose_functors(lifted, embed), f, c_objs, c_arrows
-        )
-
-        objs, arrows = _q_universe(fixtures, c, max_leaves)
-        relift = lift_nonstrict(compose_functors(lifted, embed), allow_strict_target=True)
-        compare_functors(report, f"q-unit:{tag}", relift, lifted, objs, arrows)
-
-        h = scenario.inner
-        c2_objs = fixtures.objects_for(h.source)
-        c2_arrows = fixtures.arrows_for(h.source)
-        lhs = compose_functors(f, h)
-        rhs = compose_functors(lifted, compose_functors(q_functor(h), embed_j_functor(h.source)))
-        compare_functors(report, f"q-natural-functor:{tag}", lhs, rhs, c2_objs, c2_arrows)
-
-        eps = scenario.nat
-        lhs_nat = whisker_right(q_nat(eps), embed_j_functor(eps.dom.source))
-        rhs_nat = whisker_left(embed_j_functor(eps.dom.target), eps)
-        compare_nats(
-            report,
-            f"q-natural-2cell:{tag}",
-            lhs_nat,
-            rhs_nat,
-            fixtures.objects_for(eps.dom.source),
-            ambient=q_model(eps.dom.target),
-        )
-
-    return report
+    return _run_adjunction_suite(NonStrictifiedModel, fixtures.q_scenarios, fixtures, seed, max_leaves)

@@ -212,7 +212,11 @@ class FiniteTableCategory(CategoryModel):
 
     def compose(self, g, f):
         self._check_composable(g, f)
-        return self._mor(self._compose[(g.payload, f.payload)])
+        try:
+            mid = self._compose[(g.payload, f.payload)]
+        except KeyError as exc:
+            raise CompositionError(f"compose undefined at {g.payload},{f.payload}") from exc
+        return self._mor(mid)
 
     @property
     def unit_obj(self):
@@ -225,7 +229,11 @@ class FiniteTableCategory(CategoryModel):
             raise CompositionError(f"tensor_obj undefined at {x},{y}") from exc
 
     def tensor_mor(self, f, g):
-        return self._mor(self._tensor_mor[(f.payload, g.payload)])
+        try:
+            mid = self._tensor_mor[(f.payload, g.payload)]
+        except KeyError as exc:
+            raise CompositionError(f"tensor_mor undefined at {f.payload},{g.payload}") from exc
+        return self._mor(mid)
 
     def _structural(self, table: dict, key, fallback_obj):
         if self.is_strict and key not in table:

@@ -1,17 +1,24 @@
-"""Non-strictification: sequence-and-shape objects over an ambient category.
+"""Non-strictification, and the construction core it shares with strictification.
 
-An object pairs a finite sequence of ambient objects with a parenthesization
-shape of matching size; its product in the ambient category follows the
-shape.  Concatenating sequences and pairing shapes is strictly unital but
-only associative up to the transported ambient associator, so the result is
-a non-strict monoidal category even over a strict base.
+Both constructions take as objects finite sequences of ambient objects with
+a bracketing, and transport arrows along the bracketed product ``Par``.  A
+``QObject`` carries its bracketing as a shape; a ``StrObject`` is always
+bracketed as the left comb, so ``C^str`` is ``C_q`` on left combs.  The one
+decision that differs is how an object folds, and everything else is
+written once here against that fold: the transported categories, the
+embeddings, ``beta``, the lifts and the 2-functor maps.  The tensors stay
+apart: ``strictify.py`` concatenates and conjugates by ``theta``, while
+here concatenating sequences and pairing shapes is strictly unital but
+only associative up to the transported associator ``assoc_q``, so ``C_q``
+is non-strict even over a strict base.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -20,9 +27,9 @@ from .core import (
     MonFunctorData,
     Morphism,
     NatTransData,
+    strict_functor,
 )
 from .terms import (
-    BULLET,
     UNIT,
     Leaf,
     MagmaTerm,
@@ -30,11 +37,50 @@ from .terms import (
     forget_parens,
     is_shape,
     leaf_count,
+    left_comb,
     mag,
     parse_term,
     render_term,
     shapes_with_leaves,
 )
+
+
+@dataclass(frozen=True)
+class StrObject:
+    """A finite sequence of ambient objects, bracketed as the left comb; equality is entrywise."""
+
+    seq: tuple
+
+    def __len__(self):
+        return len(self.seq)
+
+    def __iter__(self):
+        return iter(self.seq)
+
+    @classmethod
+    def comb(cls, entries: tuple) -> "StrObject":
+        return cls(entries)
+
+    def map_entries(self, fn) -> "StrObject":
+        return StrObject(tuple(map(fn, self.seq)))
+
+    def fold(self, node, leaf=None):
+        """Fold the nonempty entries as the left comb, one entry at a time from the left."""
+        entries = iter(self.seq)
+        acc = next(entries)
+        if leaf is not None:
+            acc = leaf(acc)
+        for x in entries:
+            acc = node(acc, x if leaf is None else leaf(x))
+        return acc
+
+
+EMPTY_SEQ = StrObject(())
+
+
+# Shared left combs: the embeddings build one-entry objects by the hundred
+# thousand, and pairing shared shapes reuses terms.mag's cached pairs.
+_left_comb = lru_cache(maxsize=64)(left_comb)
 
 
 @dataclass(frozen=True)
@@ -55,24 +101,39 @@ class QObject:
     def __len__(self):
         return len(self.seq)
 
+    @classmethod
+    def comb(cls, entries: tuple) -> "QObject":
+        """The entries on the left comb: the shaped twin of ``StrObject(entries)``."""
+        return cls(entries, _left_comb(len(entries)))
+
+    def map_entries(self, fn) -> "QObject":
+        return QObject(tuple(map(fn, self.seq)), self.shape)
+
+    def fold(self, node, leaf=None):
+        """Fold the nonempty entries along the shape: split at the top pair, fold both halves."""
+        seq = self.seq
+
+        def go(shape: MagmaTerm, offset: int):
+            if isinstance(shape, Leaf):
+                return (seq[offset] if leaf is None else leaf(seq[offset])), offset + 1
+            left, offset = go(shape.left, offset)
+            right, offset = go(shape.right, offset)
+            return node(left, right), offset
+
+        return go(self.shape, 0)[0]
+
 
 EMPTY_Q = QObject((), UNIT)
 
 
-def par_q(model: CategoryModel, o: QObject):
-    """Tensor of the entries, parenthesized along the shape."""
+def _as_obj(o):
+    """Objects of either construction; a bare tuple of entries is a strict sequence."""
+    return o if isinstance(o, (StrObject, QObject)) else StrObject(tuple(o))
 
-    def go(shape: MagmaTerm, offset: int):
-        if isinstance(shape, Leaf):
-            return o.seq[offset], offset + 1
-        value_left, offset = go(shape.left, offset)
-        value_right, offset = go(shape.right, offset)
-        return model.tensor_obj(value_left, value_right), offset
 
-    if not o.seq:
-        return model.unit_obj
-    value, _ = go(o.shape, 0)
-    return value
+def par_q(model: CategoryModel, o):
+    """Tensor of the entries, parenthesized like the object; the unit object when empty."""
+    return o.fold(model.tensor_obj) if o.seq else model.unit_obj
 
 
 def star_q_objects(o: QObject, p: QObject) -> QObject:
@@ -83,21 +144,17 @@ def _iota(model: CategoryModel, o: QObject, p: QObject) -> Morphism:
     """Par(o*p) -> Par(o) (x) Par(p); a unitor inverse when a factor is empty."""
     if o.seq and p.seq:
         return model.identity(model.tensor_obj(par_q(model, o), par_q(model, p)))
-    if not o.seq and not p.seq:
-        return model.lunitor_inv(model.unit_obj)
-    if not p.seq:
-        return model.runitor_inv(par_q(model, o))
-    return model.lunitor_inv(par_q(model, p))
+    if not o.seq:
+        return model.lunitor_inv(par_q(model, p))
+    return model.runitor_inv(par_q(model, o))
 
 
 def _iota_inv(model: CategoryModel, o: QObject, p: QObject) -> Morphism:
     if o.seq and p.seq:
         return model.identity(model.tensor_obj(par_q(model, o), par_q(model, p)))
-    if not o.seq and not p.seq:
-        return model.lunitor(model.unit_obj)
-    if not p.seq:
-        return model.runitor(par_q(model, o))
-    return model.lunitor(par_q(model, p))
+    if not o.seq:
+        return model.lunitor(par_q(model, p))
+    return model.runitor(par_q(model, o))
 
 
 def star_q_arrows(model: CategoryModel, f: Morphism, g: Morphism) -> Morphism:
@@ -163,33 +220,43 @@ def qobjs_over(objects: Sequence, max_leaves: int) -> list[QObject]:
     return out
 
 
-class NonStrictifiedModel(CategoryModel):
-    """Shaped sequences over a base model; never strict for nonempty shapes."""
+# -- transported categories ------------------------------------------------------
 
-    is_strict = False
+
+class TransportedModel:
+    """A category whose arrows are base arrows between the images of ``par``.
+
+    Subclasses pair this mixin with ``CategoryModel`` and supply the object
+    type and the monoidal structure; ``par`` folds the object, and the
+    realisations first spell their objects as sequences.  A mixin, so that
+    bench/tracer.py times each method once, under the concrete class.  All
+    four transported categories have identity unitors; the two constructions
+    extend it as ``Construction``.
+    """
+
+    obj_type: type
+    obj_kind: str
+    suffix: str
 
     def __init__(self, base: CategoryModel):
         self.base = base
-        self.name = f"{base.name}_q"
+        self.name = f"{base.name}{self.suffix}"
 
-    def _check_obj(self, o) -> QObject:
-        if not isinstance(o, QObject):
-            raise CompositionError(f"{self.name}: objects are shaped sequences, got {o!r}")
+    def _check_obj(self, o):
+        if not isinstance(o, self.obj_type):
+            raise CompositionError(f"{self.name}: objects are {self.obj_kind}, got {o!r}")
         return o
 
     def par(self, o):
         return par_q(self.base, self._check_obj(o))
 
-    def make_mor(self, dom: QObject, cod: QObject, payload: Morphism) -> Morphism:
+    def make_mor(self, dom, cod, payload: Morphism) -> Morphism:
         if not (
             self.base.obj_eq(payload.dom, self.par(dom))
             and self.base.obj_eq(payload.cod, self.par(cod))
         ):
             raise CompositionError(f"{self.name}: payload endpoints do not parenthesize")
         return Morphism(dom, cod, payload)
-
-    def embed_arrow(self, f: Morphism) -> Morphism:
-        return Morphism(QObject((f.dom,), Leaf(BULLET)), QObject((f.cod,), Leaf(BULLET)), f)
 
     def hom(self, o, p):
         base_hom = self.base.hom(self.par(o), self.par(p))
@@ -207,6 +274,59 @@ class NonStrictifiedModel(CategoryModel):
     def mor_eq(self, f, g):
         return f.dom == g.dom and f.cod == g.cod and self.base.mor_eq(f.payload, g.payload)
 
+    def lunitor(self, o):
+        return self.identity(self._check_obj(o))
+
+    def lunitor_inv(self, o):
+        return self.identity(self._check_obj(o))
+
+    def runitor(self, o):
+        return self.identity(self._check_obj(o))
+
+    def runitor_inv(self, o):
+        return self.identity(self._check_obj(o))
+
+    def render_mor(self, f):
+        return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
+
+
+class Construction(TransportedModel):
+    """``C^str`` or ``C_q``: the embedding and its coherence arrows at left-comb objects.
+
+    Subclasses also set ``tag`` (law reports), ``induced_suffix``,
+    ``lift_suffix`` and ``embed_name`` (names of what the construction
+    builds) and ``objects_over`` (small universes of objects).
+    """
+
+    @classmethod
+    def embed(cls, x):
+        """The one-entry object of a base object."""
+        return cls.obj_type.comb((x,))
+
+    @classmethod
+    def embed_arrow(cls, f: Morphism) -> Morphism:
+        """A base arrow between one-entry objects."""
+        return Morphism(cls.embed(f.dom), cls.embed(f.cod), f)
+
+    @classmethod
+    def eta(cls, model: CategoryModel, x, y) -> Morphism:
+        """embed(x) * embed(y) -> embed(x (x) y): the embedding's gamma, an identity payload."""
+        return delta_q(model, cls.obj_type.comb((x, y)))
+
+    @classmethod
+    def unit_u(cls, model: CategoryModel) -> Morphism:
+        """The empty object -> embed(I): the embedding's unit arrow."""
+        return delta_q(model, cls.obj_type.comb(()))
+
+
+class NonStrictifiedModel(Construction, CategoryModel):
+    """Shaped sequences over a base model; never strict for nonempty shapes."""
+
+    is_strict = False
+    obj_type, obj_kind, suffix = QObject, "shaped sequences", "_q"
+    tag, induced_suffix, lift_suffix, embed_name = "q", "_q", "^q", "j"
+    objects_over = staticmethod(qobjs_over)
+
     @property
     def unit_obj(self) -> QObject:
         return EMPTY_Q
@@ -223,264 +343,230 @@ class NonStrictifiedModel(CategoryModel):
     def associator_inv(self, o, p, q):
         return assoc_q_inv(self.base, o, p, q)
 
-    def lunitor(self, o):
-        return self.identity(self._check_obj(o))
-
-    def lunitor_inv(self, o):
-        return self.identity(self._check_obj(o))
-
-    def runitor(self, o):
-        return self.identity(self._check_obj(o))
-
-    def runitor_inv(self, o):
-        return self.identity(self._check_obj(o))
-
     def render_obj(self, o):
         if not o.seq:
             return "(;1)"
         entries = ",".join(self.base.render_obj(x) for x in o.seq)
         return f"({entries};{render_term(o.shape)})"
 
-    def render_mor(self, f):
-        return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
 
+def construction(cls: type, base: CategoryModel):
+    """The construction ``cls`` over a model, built once and kept on the model.
 
-_q_models: "weakref.WeakKeyDictionary[CategoryModel, NonStrictifiedModel]" = weakref.WeakKeyDictionary()
+    A global weak-keyed table would keep every model alive: its value, the
+    construction, refers to the model.
+    """
+    built = vars(base).setdefault("_constructions", {})
+    model = built.get(cls)
+    if model is None:
+        model = built[cls] = cls(base)
+    return model
 
 
 def q_model(base: CategoryModel) -> NonStrictifiedModel:
     """The shaped-sequence category of a model (one shared instance per model)."""
-    try:
-        return _q_models[base]
-    except KeyError:
-        model = NonStrictifiedModel(base)
-        _q_models[base] = model
-        return model
+    return construction(NonStrictifiedModel, base)
 
 
 # -- the canonical embedding ----------------------------------------------------
 
 
-def embed_j(x) -> QObject:
-    return QObject((x,), Leaf(BULLET))
+embed_j = NonStrictifiedModel.embed
+embed_j_mor = NonStrictifiedModel.embed_arrow
+eta_q = NonStrictifiedModel.eta
+unit_uq = NonStrictifiedModel.unit_u
 
 
-def embed_j_mor(f: Morphism) -> Morphism:
-    return Morphism(embed_j(f.dom), embed_j(f.cod), f)
+def delta_q(model: CategoryModel, o) -> Morphism:
+    """The arrow from an object to the one-entry object of its product.
 
-
-def delta_q(model: CategoryModel, o: QObject) -> Morphism:
+    Every coherence arrow of the embedding is one of these: ``eta`` at a
+    two-entry object and the unit arrow at the empty one.
+    """
+    o = _as_obj(o)
     par = par_q(model, o)
-    return Morphism(o, embed_j(par), model.identity(par))
+    return Morphism(o, type(o).comb((par,)), model.identity(par))
 
 
-def delta_q_inv(model: CategoryModel, o: QObject) -> Morphism:
+def delta_q_inv(model: CategoryModel, o) -> Morphism:
+    o = _as_obj(o)
     par = par_q(model, o)
-    return Morphism(embed_j(par), o, model.identity(par))
+    return Morphism(type(o).comb((par,)), o, model.identity(par))
 
 
-def eta_q(model: CategoryModel, x, y) -> Morphism:
-    prod = model.tensor_obj(x, y)
-    return Morphism(QObject((x, y), Leaf(BULLET) * Leaf(BULLET)), embed_j(prod), model.identity(prod))
-
-
-def eta_q_inv(model: CategoryModel, x, y) -> Morphism:
-    prod = model.tensor_obj(x, y)
-    return Morphism(embed_j(prod), QObject((x, y), Leaf(BULLET) * Leaf(BULLET)), model.identity(prod))
-
-
-def unit_uq(model: CategoryModel) -> Morphism:
-    return Morphism(EMPTY_Q, embed_j(model.unit_obj), model.identity(model.unit_obj))
-
-
-def unit_uq_inv(model: CategoryModel) -> Morphism:
-    return Morphism(embed_j(model.unit_obj), EMPTY_Q, model.identity(model.unit_obj))
+def embedding(cls: type, model: CategoryModel) -> MonFunctorData:
+    """The embedding into the construction ``cls`` as a strong monoidal functor."""
+    obj = cls.obj_type
+    return MonFunctorData(
+        source=model,
+        target=construction(cls, model),
+        obj_map=cls.embed,
+        mor_map=cls.embed_arrow,
+        gamma=lambda x, y: delta_q(model, obj.comb((x, y))),
+        gamma_inv=lambda x, y: delta_q_inv(model, obj.comb((x, y))),
+        u=delta_q(model, obj.comb(())),
+        u_inv=delta_q_inv(model, obj.comb(())),
+        strength="strong",
+        name=f"{cls.embed_name}[{model.name}]",
+    )
 
 
 def embed_j_functor(model: CategoryModel) -> MonFunctorData:
-    return MonFunctorData(
-        source=model,
-        target=q_model(model),
-        obj_map=embed_j,
-        mor_map=embed_j_mor,
-        gamma=lambda x, y: eta_q(model, x, y),
-        gamma_inv=lambda x, y: eta_q_inv(model, x, y),
-        u=unit_uq(model),
-        u_inv=unit_uq_inv(model),
-        strength="strong",
-        name=f"j[{model.name}]",
-    )
+    return embedding(NonStrictifiedModel, model)
 
 
 # -- universal property -----------------------------------------------------------
 
 
-def image_fold_q(functor: MonFunctorData, o: QObject):
-    """Target product of the entrywise images, parenthesized along the shape."""
+def image_fold_q(functor: MonFunctorData, o):
+    """Target product of the entrywise images, parenthesized like the object."""
+    o = _as_obj(o)
     d = functor.target
-
-    def go(shape: MagmaTerm, offset: int):
-        if isinstance(shape, Leaf):
-            return functor.obj_map(o.seq[offset]), offset + 1
-        left, offset = go(shape.left, offset)
-        right, offset = go(shape.right, offset)
-        return d.tensor_obj(left, right), offset
-
-    if not o.seq:
-        return d.unit_obj
-    value, _ = go(o.shape, 0)
-    return value
+    return o.fold(d.tensor_obj, functor.obj_map) if o.seq else d.unit_obj
 
 
-def _split_q(o: QObject) -> tuple[QObject, QObject]:
-    n = leaf_count(o.shape.left)
-    return QObject(o.seq[:n], o.shape.left), QObject(o.seq[n:], o.shape.right)
+def beta_q(functor: MonFunctorData, o) -> Morphism:
+    """Comparison arrow from the folded image to the image of the product.
 
-
-def beta_q(functor: MonFunctorData, o: QObject) -> Morphism:
-    """Comparison arrow for shaped sequences, by induction on the shape."""
-    c, d = functor.source, functor.target
+    Unit coherence at the empty object, identity at one entry, then one
+    gamma step per bracket of the fold.
+    """
+    o = _as_obj(o)
     if not o.seq:
         return functor.u
-    if len(o.seq) == 1:
-        return d.identity(functor.obj_map(o.seq[0]))
-    left, right = _split_q(o)
-    padded = d.tensor_mor(beta_q(functor, left), beta_q(functor, right))
-    step = functor.gamma(par_q(c, left), par_q(c, right))
-    return d.compose(step, padded)
+    c, d = functor.source, functor.target
+
+    def node(left, right):
+        (x, f), (y, g) = left, right
+        return c.tensor_obj(x, y), d.compose(functor.gamma(x, y), d.tensor_mor(f, g))
+
+    return o.fold(node, lambda x: (x, d.identity(functor.obj_map(x))))[1]
 
 
-def beta_q_inv(functor: MonFunctorData, o: QObject) -> Morphism:
+def beta_q_inv(functor: MonFunctorData, o) -> Morphism:
     if not functor.is_strong:
         raise ValueError(f"{functor.name}: beta is invertible only for strong functors")
-    c, d = functor.source, functor.target
+    o = _as_obj(o)
     if not o.seq:
         return functor.u_inv
-    if len(o.seq) == 1:
-        return d.identity(functor.obj_map(o.seq[0]))
-    left, right = _split_q(o)
-    padded = d.tensor_mor(beta_q_inv(functor, left), beta_q_inv(functor, right))
-    step = functor.gamma_inv(par_q(c, left), par_q(c, right))
-    return d.compose(padded, step)
+    c, d = functor.source, functor.target
+
+    def node(left, right):
+        (x, f), (y, g) = left, right
+        return c.tensor_obj(x, y), d.compose(d.tensor_mor(f, g), functor.gamma_inv(x, y))
+
+    return o.fold(node, lambda x: (x, d.identity(functor.obj_map(x))))[1]
 
 
-def _transport_arrow_q(functor: MonFunctorData, f: Morphism) -> Morphism:
+def _transport_arrow(functor: MonFunctorData, f: Morphism) -> Morphism:
+    """beta-conjugate of the image of an arrow's payload."""
     d = functor.target
     lo = beta_q(functor, f.dom)
     hi = beta_q_inv(functor, f.cod)
     return d.compose(hi, d.compose(functor.mor_map(f.payload), lo))
 
 
-def lift_nonstrict(functor: MonFunctorData, allow_strict_target: bool = False) -> MonFunctorData:
-    """The unique strict monoidal extension along the shaped embedding.
+def _fold_components(alpha: NatTransData, o) -> Morphism:
+    """The components at the entries, tensored like the object."""
+    o = _as_obj(o)
+    d = alpha.dom.target
+    return o.fold(d.tensor_mor, alpha.component) if o.seq else d.identity(d.unit_obj)
 
-    The target is expected to be non-strict; the flag check can be overridden
-    since the construction itself never uses non-strictness.
+
+def lift(cls: type, functor: MonFunctorData, allow_any_target: bool = False) -> MonFunctorData:
+    """The unique strict monoidal extension of a strong functor along the embedding.
+
+    The target should be as strict as the construction ``cls``; the flag
+    check can be overridden since the construction itself never uses it.
     """
     if not functor.is_strong:
         raise ValueError(f"{functor.name}: only strong functors lift")
     d = functor.target
-    if d.is_strict and not allow_strict_target:
-        raise ValueError(f"{functor.name}: target {d.name} is strict; pass allow_strict_target to lift anyway")
-    source = q_model(functor.source)
-
-    def obj_map(o: QObject):
-        return image_fold_q(functor, o)
-
-    return MonFunctorData(
-        source=source,
-        target=d,
-        obj_map=obj_map,
-        mor_map=lambda f: _transport_arrow_q(functor, f),
-        gamma=lambda o, p: d.identity(d.tensor_obj(obj_map(o), obj_map(p))),
-        gamma_inv=lambda o, p: d.identity(d.tensor_obj(obj_map(o), obj_map(p))),
-        u=d.identity(d.unit_obj),
-        u_inv=d.identity(d.unit_obj),
-        strength="strict",
-        name=f"{functor.name}^q",
+    if d.is_strict != cls.is_strict and not allow_any_target:
+        state = "strict" if d.is_strict else "not strict"
+        raise ValueError(f"{functor.name}: target {d.name} is {state}")
+    return strict_functor(
+        construction(cls, functor.source),
+        d,
+        lambda o: image_fold_q(functor, o),
+        lambda f: _transport_arrow(functor, f),
+        f"{functor.name}{cls.lift_suffix}",
     )
+
+
+def lift_nat(cls: type, alpha: NatTransData, allow_any_target: bool = False) -> NatTransData:
+    """Lift of a monoidal transformation: components folded like the object."""
+    return NatTransData(
+        dom=lift(cls, alpha.dom, allow_any_target),
+        cod=lift(cls, alpha.cod, allow_any_target),
+        component=lambda o: _fold_components(alpha, o),
+        name=f"{alpha.name}{cls.lift_suffix}",
+    )
+
+
+def lift_nonstrict(functor: MonFunctorData, allow_strict_target: bool = False) -> MonFunctorData:
+    """The unique strict monoidal extension along the shaped embedding, into a non-strict target."""
+    return lift(NonStrictifiedModel, functor, allow_strict_target)
 
 
 def lift_nat_nonstrict(alpha: NatTransData, allow_strict_target: bool = False) -> NatTransData:
-    """Lift of a monoidal transformation: components folded along the shape."""
-    d = alpha.dom.target
-    f_hat = lift_nonstrict(alpha.dom, allow_strict_target)
-    g_hat = lift_nonstrict(alpha.cod, allow_strict_target)
-
-    def component(o: QObject) -> Morphism:
-        if not o.seq:
-            return d.identity(d.unit_obj)
-        if len(o.seq) == 1:
-            return alpha.component(o.seq[0])
-        left, right = _split_q(o)
-        return d.tensor_mor(component(left), component(right))
-
-    return NatTransData(dom=f_hat, cod=g_hat, component=component, name=f"{alpha.name}^q")
+    return lift_nat(NonStrictifiedModel, alpha, allow_strict_target)
 
 
-# -- the non-strictification 2-functor ------------------------------------------------
+# -- the 2-functors -----------------------------------------------------------------
 
 
-def q_functor(functor: MonFunctorData) -> MonFunctorData:
-    """Entrywise image with the shape preserved; arrows through beta."""
+def induced_functor(cls: type, functor: MonFunctorData) -> MonFunctorData:
+    """Entrywise image with the bracketing kept; arrows transported through beta."""
+    suffix = cls.induced_suffix
     if not functor.is_strong:
-        raise ValueError(f"{functor.name}: only strong functors non-strictify")
-    source = q_model(functor.source)
-    target = q_model(functor.target)
+        raise ValueError(f"{functor.name}: only strong functors induce {functor.name}{suffix}")
 
-    def obj_map(o: QObject) -> QObject:
-        return QObject(tuple(functor.obj_map(x) for x in o.seq), o.shape)
+    def obj_map(o):
+        return o.map_entries(functor.obj_map)
 
     def mor_map(f: Morphism) -> Morphism:
-        return Morphism(obj_map(f.dom), obj_map(f.cod), _transport_arrow_q(functor, f))
+        return Morphism(obj_map(f.dom), obj_map(f.cod), _transport_arrow(functor, f))
 
-    def gamma(o, p):
-        return target.identity(star_q_objects(obj_map(o), obj_map(p)))
-
-    return MonFunctorData(
-        source=source,
-        target=target,
-        obj_map=obj_map,
-        mor_map=mor_map,
-        gamma=gamma,
-        gamma_inv=gamma,
-        u=target.identity(EMPTY_Q),
-        u_inv=target.identity(EMPTY_Q),
-        strength="strict",
-        name=f"{functor.name}_q",
+    return strict_functor(
+        construction(cls, functor.source),
+        construction(cls, functor.target),
+        obj_map,
+        mor_map,
+        f"{functor.name}{suffix}",
     )
 
 
+def induced_nat(cls: type, alpha: NatTransData) -> NatTransData:
+    """Components tensored like each object."""
+    f_ind = induced_functor(cls, alpha.dom)
+    g_ind = induced_functor(cls, alpha.cod)
+
+    def component(o) -> Morphism:
+        return Morphism(f_ind.obj_map(o), g_ind.obj_map(o), _fold_components(alpha, o))
+
+    return NatTransData(dom=f_ind, cod=g_ind, component=component, name=f"{alpha.name}{cls.induced_suffix}")
+
+
+def q_functor(functor: MonFunctorData) -> MonFunctorData:
+    return induced_functor(NonStrictifiedModel, functor)
+
+
 def q_nat(alpha: NatTransData) -> NatTransData:
-    """Components tensored along the shape of each object."""
-    d = alpha.dom.target
-    f_q = q_functor(alpha.dom)
-    g_q = q_functor(alpha.cod)
-
-    def payload(o: QObject) -> Morphism:
-        if not o.seq:
-            return d.identity(d.unit_obj)
-        if len(o.seq) == 1:
-            return alpha.component(o.seq[0])
-        left, right = _split_q(o)
-        return d.tensor_mor(payload(left), payload(right))
-
-    def component(o: QObject) -> Morphism:
-        return Morphism(f_q.obj_map(o), g_q.obj_map(o), payload(o))
-
-    return NatTransData(dom=f_q, cod=g_q, component=component, name=f"{alpha.name}_q")
+    return induced_nat(NonStrictifiedModel, alpha)
 
 
 # -- realisation for categories with free-monoid objects --------------------------------
 
 
-def _word_objects_or_raise(model: CategoryModel) -> tuple:
+def free_generators(model: CategoryModel, letter, product, kind: str) -> tuple:
+    """The generators of a model whose tensor is the free ``product`` of its letters."""
     generators = getattr(model, "generators", None)
     if not generators:
-        raise ValueError(f"{model.name}: realisation needs a model with word objects")
-    probe = model.tensor_obj((generators[0],), (generators[0],))
-    if probe != (generators[0], generators[0]):
-        raise ValueError(f"{model.name}: tensor is not word concatenation")
+        raise ValueError(f"{model.name}: realisation needs a model with {kind} objects")
+    x = letter(generators[0])
+    if model.tensor_obj(x, x) != product(x, x):
+        raise ValueError(f"{model.name}: tensor is not the free {kind} product")
     return tuple(generators)
 
 
@@ -489,39 +575,29 @@ def seq_q(term: MagmaTerm) -> QObject:
     return QObject(tuple((x,) for x in forget_parens(term)), collapse(term))
 
 
-class RealisedTermCategory(CategoryModel):
+def sequencing(realised, target, to_seq, name: str) -> MonFunctorData:
+    """Sequencing as a strict monoidal functor from a realisation into its construction."""
+    return strict_functor(
+        realised,
+        target,
+        to_seq,
+        lambda f: Morphism(to_seq(f.dom), to_seq(f.cod), f.payload),
+        name,
+    )
+
+
+class RealisedTermCategory(TransportedModel, CategoryModel):
     """Free-magma objects over a word-object model, homs through shaped sequencing."""
 
     is_strict = False
+    obj_type, obj_kind, suffix = MagmaTerm, "magma terms", "~terms"
 
     def __init__(self, base: CategoryModel):
-        self.generators = _word_objects_or_raise(base)
-        self.base = base
-        self.name = f"{base.name}~terms"
-
-    def _check_obj(self, v) -> MagmaTerm:
-        if not isinstance(v, MagmaTerm):
-            raise CompositionError(f"{self.name}: objects are magma terms, got {v!r}")
-        return v
+        self.generators = free_generators(base, lambda x: (x,), add, "word")
+        super().__init__(base)
 
     def par(self, v):
         return par_q(self.base, seq_q(self._check_obj(v)))
-
-    def hom(self, v, w):
-        base_hom = self.base.hom(self.par(v), self.par(w))
-        if base_hom is None:
-            return None
-        return [Morphism(v, w, payload) for payload in base_hom]
-
-    def identity(self, v):
-        return Morphism(v, v, self.base.identity(self.par(v)))
-
-    def compose(self, g, f):
-        self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, self.base.compose(g.payload, f.payload))
-
-    def mor_eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod and self.base.mor_eq(f.payload, g.payload)
 
     @property
     def unit_obj(self) -> MagmaTerm:
@@ -546,18 +622,6 @@ class RealisedTermCategory(CategoryModel):
         lifted = assoc_q_inv(self.base, seq_q(u), seq_q(v), seq_q(w))
         return Morphism(mag(u, mag(v, w)), mag(mag(u, v), w), lifted.payload)
 
-    def lunitor(self, v):
-        return self.identity(self._check_obj(v))
-
-    def lunitor_inv(self, v):
-        return self.identity(self._check_obj(v))
-
-    def runitor(self, v):
-        return self.identity(self._check_obj(v))
-
-    def runitor_inv(self, v):
-        return self.identity(self._check_obj(v))
-
     def render_obj(self, v):
         return render_term(v)
 
@@ -568,31 +632,10 @@ class RealisedTermCategory(CategoryModel):
             raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
         return term
 
-    def render_mor(self, f):
-        return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
 
-
-def realise_tilde_q(model: CategoryModel) -> RealisedTermCategory:
-    return RealisedTermCategory(model)
+realise_tilde_q = RealisedTermCategory
 
 
 def seq_term_functor(model: CategoryModel) -> MonFunctorData:
     """Shaped sequencing as a strict monoidal functor from the term realisation."""
-    realised = realise_tilde_q(model)
-    target = q_model(model)
-
-    def mor_map(f: Morphism) -> Morphism:
-        return Morphism(seq_q(f.dom), seq_q(f.cod), f.payload)
-
-    return MonFunctorData(
-        source=realised,
-        target=target,
-        obj_map=seq_q,
-        mor_map=mor_map,
-        gamma=lambda v, w: target.identity(seq_q(mag(v, w))),
-        gamma_inv=lambda v, w: target.identity(seq_q(mag(v, w))),
-        u=target.identity(EMPTY_Q),
-        u_inv=target.identity(EMPTY_Q),
-        strength="strict",
-        name=f"SeqQ[{model.name}]",
-    )
+    return sequencing(RealisedTermCategory(model), q_model(model), seq_q, f"SeqQ[{model.name}]")

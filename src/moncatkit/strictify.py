@@ -2,15 +2,15 @@
 
 Objects here are finite sequences of ambient objects; an arrow between two
 sequences is exactly an ambient arrow between their left-nested products.
-Concatenation makes this a strict monoidal category, and the coherence
-arrow ``theta`` mediates between the product of two parenthesizations and
-the parenthesization of the concatenation.
+A sequence is a shaped sequence on the left comb, so everything but the
+tensor is the construction core in ``nonstrictify.py``, and the names here
+are its strict instances.  Concatenation makes the result a strict monoidal
+category; the coherence arrow ``theta`` mediates between the product of two
+parenthesizations and the parenthesization of the concatenation.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -22,42 +22,37 @@ from .core import (
     NatTransData,
     compose_factors,
 )
-from .terms import Leaf, MagmaTerm, Word, forget_parens, leaf_count
-
-
-@dataclass(frozen=True)
-class StrObject:
-    """A finite sequence of ambient objects; equality is entrywise."""
-
-    seq: tuple
-
-    def __len__(self):
-        return len(self.seq)
-
-    def __iter__(self):
-        return iter(self.seq)
-
-
-EMPTY_SEQ = StrObject(())
-
-
-def _entries(s) -> tuple:
-    return s.seq if isinstance(s, StrObject) else tuple(s)
+from .nonstrictify import (
+    EMPTY_SEQ,
+    Construction,
+    StrObject,
+    TransportedModel,
+    _as_obj,
+    construction,
+    embedding,
+    free_generators,
+    induced_functor,
+    induced_nat,
+    lift,
+    lift_nat,
+    par_q,
+    sequencing,
+)
+from .nonstrictify import beta_q as beta
+from .nonstrictify import beta_q_inv as beta_inv
+from .nonstrictify import delta_q as delta
+from .nonstrictify import delta_q_inv as delta_inv
+from .nonstrictify import image_fold_q as image_fold
+from .terms import Leaf, MagmaTerm, Word, forget_parens, leaf_count, mag
 
 
 def par_seq(model: CategoryModel, s) -> object:
     """Left-nested tensor of the entries; the unit object for the empty sequence."""
-    entries = _entries(s)
-    if not entries:
-        return model.unit_obj
-    acc = entries[0]
-    for x in entries[1:]:
-        acc = model.tensor_obj(acc, x)
-    return acc
+    return par_q(model, _as_obj(s))
 
 
 def star_objects(s, t) -> StrObject:
-    return StrObject(_entries(s) + _entries(t))
+    return StrObject(_as_obj(s).seq + _as_obj(t).seq)
 
 
 def seqs_over(objects: Sequence, max_len: int) -> list[StrObject]:
@@ -80,14 +75,14 @@ def theta_factors(model: CategoryModel, s, t) -> list[Factor]:
     are the left unitor (empty first argument), the right unitor (empty
     second argument) and the identity (one entry on the right).
     """
-    s, t = _entries(s), _entries(t)
-    if not s:
+    s, t = _as_obj(s), _as_obj(t)
+    if not s.seq:
         return [Factor("l", (par_seq(model, t),))]
-    if not t:
+    if not t.seq:
         return [Factor("r", (par_seq(model, s),))]
     if len(t) == 1:
         return []
-    front, last = t[:-1], t[-1]
+    front, last = StrObject(t.seq[:-1]), t.seq[-1]
     inner = theta_factors(model, s, front)
     step = Factor("a_inv", (par_seq(model, s), par_seq(model, front), last))
     return [step] + [factor.wrap_right(last) for factor in inner]
@@ -99,7 +94,7 @@ def theta(model: CategoryModel, s, t) -> Morphism:
 
 
 def theta_inv(model: CategoryModel, s, t) -> Morphism:
-    dom = par_seq(model, star_objects(StrObject(_entries(s)), StrObject(_entries(t))))
+    dom = par_seq(model, star_objects(s, t))
     factors = [factor.inverted() for factor in reversed(theta_factors(model, s, t))]
     return compose_factors(model, factors, dom)
 
@@ -118,49 +113,13 @@ def star_arrows(model: CategoryModel, f: Morphism, g: Morphism) -> Morphism:
 # -- the strict sequence category ------------------------------------------------
 
 
-class StrictifiedModel(CategoryModel):
+class StrictifiedModel(Construction, CategoryModel):
     """Sequences of base objects with hom-sets transported along Par."""
 
     is_strict = True
-
-    def __init__(self, base: CategoryModel):
-        self.base = base
-        self.name = f"{base.name}^seq"
-
-    def _check_obj(self, s) -> StrObject:
-        if not isinstance(s, StrObject):
-            raise CompositionError(f"{self.name}: objects are sequences, got {s!r}")
-        return s
-
-    def par(self, s):
-        return par_seq(self.base, self._check_obj(s))
-
-    def make_mor(self, dom: StrObject, cod: StrObject, payload: Morphism) -> Morphism:
-        if not (
-            self.base.obj_eq(payload.dom, self.par(dom))
-            and self.base.obj_eq(payload.cod, self.par(cod))
-        ):
-            raise CompositionError(f"{self.name}: payload endpoints do not parenthesize")
-        return Morphism(dom, cod, payload)
-
-    def embed_arrow(self, f: Morphism) -> Morphism:
-        return Morphism(StrObject((f.dom,)), StrObject((f.cod,)), f)
-
-    def hom(self, s, t):
-        base_hom = self.base.hom(self.par(s), self.par(t))
-        if base_hom is None:
-            return None
-        return [Morphism(s, t, p) for p in base_hom]
-
-    def identity(self, s):
-        return Morphism(s, s, self.base.identity(self.par(s)))
-
-    def compose(self, g, f):
-        self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, self.base.compose(g.payload, f.payload))
-
-    def mor_eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod and self.base.mor_eq(f.payload, g.payload)
+    obj_type, obj_kind, suffix = StrObject, "sequences", "^seq"
+    tag, induced_suffix, lift_suffix, embed_name = "str", "^str", "^", "i"
+    objects_over = staticmethod(seqs_over)
 
     @property
     def unit_obj(self):
@@ -185,251 +144,50 @@ class StrictifiedModel(CategoryModel):
             text = text[1:-1]
         return StrObject(tuple(self.base.parse_obj(part.strip()) for part in text.split(",")))
 
-    def render_mor(self, f):
-        return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
-
-
-_str_models: "weakref.WeakKeyDictionary[CategoryModel, StrictifiedModel]" = weakref.WeakKeyDictionary()
-
 
 def str_model(base: CategoryModel) -> StrictifiedModel:
     """The sequence category of a model (one shared instance per model)."""
-    try:
-        return _str_models[base]
-    except KeyError:
-        model = StrictifiedModel(base)
-        _str_models[base] = model
-        return model
+    return construction(StrictifiedModel, base)
 
 
 # -- the canonical embedding and its coherence data -------------------------------
 
 
-def embed_i(x) -> StrObject:
-    return StrObject((x,))
-
-
-def embed_i_mor(f: Morphism) -> Morphism:
-    return Morphism(embed_i(f.dom), embed_i(f.cod), f)
-
-
-def delta(model: CategoryModel, s) -> Morphism:
-    """The arrow from a sequence to the one-entry sequence of its product."""
-    par = par_seq(model, s)
-    return Morphism(StrObject(_entries(s)), embed_i(par), model.identity(par))
-
-
-def delta_inv(model: CategoryModel, s) -> Morphism:
-    par = par_seq(model, s)
-    return Morphism(embed_i(par), StrObject(_entries(s)), model.identity(par))
-
-
-def eta(model: CategoryModel, x, y) -> Morphism:
-    """(x) * (y) -> (x tensor y), carried by the identity of the product."""
-    prod = model.tensor_obj(x, y)
-    return Morphism(StrObject((x, y)), embed_i(prod), model.identity(prod))
-
-
-def eta_inv(model: CategoryModel, x, y) -> Morphism:
-    prod = model.tensor_obj(x, y)
-    return Morphism(embed_i(prod), StrObject((x, y)), model.identity(prod))
-
-
-def unit_u(model: CategoryModel) -> Morphism:
-    return Morphism(EMPTY_SEQ, embed_i(model.unit_obj), model.identity(model.unit_obj))
-
-
-def unit_u_inv(model: CategoryModel) -> Morphism:
-    return Morphism(embed_i(model.unit_obj), EMPTY_SEQ, model.identity(model.unit_obj))
+embed_i = StrictifiedModel.embed
+embed_i_mor = StrictifiedModel.embed_arrow
+eta = StrictifiedModel.eta
+unit_u = StrictifiedModel.unit_u
 
 
 def embed_functor(model: CategoryModel) -> MonFunctorData:
     """The embedding as a strong monoidal functor into the sequence category."""
-    return MonFunctorData(
-        source=model,
-        target=str_model(model),
-        obj_map=embed_i,
-        mor_map=embed_i_mor,
-        gamma=lambda x, y: eta(model, x, y),
-        gamma_inv=lambda x, y: eta_inv(model, x, y),
-        u=unit_u(model),
-        u_inv=unit_u_inv(model),
-        strength="strong",
-        name=f"i[{model.name}]",
-    )
+    return embedding(StrictifiedModel, model)
 
 
-# -- universal property -------------------------------------------------------------
-
-
-def image_fold(functor: MonFunctorData, entries: tuple):
-    """Left-nested target product of the entrywise images."""
-    d = functor.target
-    entries = _entries(entries)
-    if not entries:
-        return d.unit_obj
-    acc = functor.obj_map(entries[0])
-    for x in entries[1:]:
-        acc = d.tensor_obj(acc, functor.obj_map(x))
-    return acc
-
-
-def beta(functor: MonFunctorData, s) -> Morphism:
-    """Comparison arrow from the folded image to the image of the product.
-
-    Unit coherence at the empty sequence, identity at length one, then one
-    gamma step per appended entry.
-    """
-    c, d = functor.source, functor.target
-    entries = _entries(s)
-    if not entries:
-        return functor.u
-    acc = d.identity(functor.obj_map(entries[0]))
-    par = entries[0]
-    for x in entries[1:]:
-        padded = d.tensor_mor(acc, d.identity(functor.obj_map(x)))
-        acc = d.compose(functor.gamma(par, x), padded)
-        par = c.tensor_obj(par, x)
-    return acc
-
-
-def beta_inv(functor: MonFunctorData, s) -> Morphism:
-    if not functor.is_strong:
-        raise ValueError(f"{functor.name}: beta is invertible only for strong functors")
-    c, d = functor.source, functor.target
-    entries = _entries(s)
-    if not entries:
-        return functor.u_inv
-    acc = d.identity(functor.obj_map(entries[0]))
-    par = entries[0]
-    for x in entries[1:]:
-        step = functor.gamma_inv(par, x)
-        acc = d.compose(d.tensor_mor(acc, d.identity(functor.obj_map(x))), step)
-        par = c.tensor_obj(par, x)
-    return acc
-
-
-def _transport_arrow(functor: MonFunctorData, f: Morphism) -> Morphism:
-    """beta-conjugate of the image of a sequence arrow's payload."""
-    d = functor.target
-    lo = beta(functor, f.dom)
-    hi = beta_inv(functor, f.cod)
-    return d.compose(hi, d.compose(functor.mor_map(f.payload), lo))
+# -- universal property and the strictification 2-functor ---------------------------
 
 
 def lift_strict(functor: MonFunctorData, allow_nonstrict_target: bool = False) -> MonFunctorData:
     """The unique strict monoidal extension of a strong functor along the embedding."""
-    if not functor.is_strong:
-        raise ValueError(f"{functor.name}: only strong functors lift")
-    d = functor.target
-    if not d.is_strict and not allow_nonstrict_target:
-        raise ValueError(f"{functor.name}: target {d.name} is not strict")
-    source = str_model(functor.source)
-
-    def obj_map(s: StrObject):
-        return image_fold(functor, s)
-
-    def mor_map(f: Morphism) -> Morphism:
-        payload = _transport_arrow(functor, f)
-        return payload
-
-    return MonFunctorData(
-        source=source,
-        target=d,
-        obj_map=obj_map,
-        mor_map=mor_map,
-        gamma=lambda s, t: d.identity(d.tensor_obj(obj_map(s), obj_map(t))),
-        gamma_inv=lambda s, t: d.identity(d.tensor_obj(obj_map(s), obj_map(t))),
-        u=d.identity(d.unit_obj),
-        u_inv=d.identity(d.unit_obj),
-        strength="strict",
-        name=f"{functor.name}^",
-    )
+    return lift(StrictifiedModel, functor, allow_nonstrict_target)
 
 
 def lift_nat_strict(alpha: NatTransData, allow_nonstrict_target: bool = False) -> NatTransData:
     """Lift of a monoidal transformation: entrywise components, folded."""
-    d = alpha.dom.target
-    f_hat = lift_strict(alpha.dom, allow_nonstrict_target)
-    g_hat = lift_strict(alpha.cod, allow_nonstrict_target)
-
-    def component(s: StrObject) -> Morphism:
-        entries = _entries(s)
-        if not entries:
-            return d.identity(d.unit_obj)
-        acc = alpha.component(entries[0])
-        for x in entries[1:]:
-            acc = d.tensor_mor(acc, alpha.component(x))
-        return acc
-
-    return NatTransData(dom=f_hat, cod=g_hat, component=component, name=f"{alpha.name}^")
-
-
-# -- the strictification 2-functor ----------------------------------------------------
+    return lift_nat(StrictifiedModel, alpha, allow_nonstrict_target)
 
 
 def str_functor(functor: MonFunctorData) -> MonFunctorData:
     """Entrywise image on sequences; arrows transported through beta."""
-    if not functor.is_strong:
-        raise ValueError(f"{functor.name}: only strong functors strictify")
-    source = str_model(functor.source)
-    target = str_model(functor.target)
-    d = functor.target
-
-    def obj_map(s: StrObject) -> StrObject:
-        return StrObject(tuple(functor.obj_map(x) for x in s.seq))
-
-    def mor_map(f: Morphism) -> Morphism:
-        return Morphism(obj_map(f.dom), obj_map(f.cod), _transport_arrow(functor, f))
-
-    def gamma(s, t):
-        return target.identity(star_objects(obj_map(s), obj_map(t)))
-
-    return MonFunctorData(
-        source=source,
-        target=target,
-        obj_map=obj_map,
-        mor_map=mor_map,
-        gamma=gamma,
-        gamma_inv=gamma,
-        u=target.identity(EMPTY_SEQ),
-        u_inv=target.identity(EMPTY_SEQ),
-        strength="strict",
-        name=f"{functor.name}^str",
-    )
+    return induced_functor(StrictifiedModel, functor)
 
 
 def str_nat(alpha: NatTransData) -> NatTransData:
     """Strictified transformation: the left-nested product of the components."""
-    d = alpha.dom.target
-    f_str = str_functor(alpha.dom)
-    g_str = str_functor(alpha.cod)
-
-    def component(s: StrObject) -> Morphism:
-        entries = _entries(s)
-        if not entries:
-            payload = d.identity(d.unit_obj)
-        else:
-            payload = alpha.component(entries[0])
-            for x in entries[1:]:
-                payload = d.tensor_mor(payload, alpha.component(x))
-        return Morphism(f_str.obj_map(s), g_str.obj_map(s), payload)
-
-    return NatTransData(dom=f_str, cod=g_str, component=component, name=f"{alpha.name}^str")
+    return induced_nat(StrictifiedModel, alpha)
 
 
 # -- realisation for categories with free-magma objects ---------------------------------
-
-
-def _magma_objects_or_raise(model: CategoryModel) -> tuple:
-    generators = getattr(model, "generators", None)
-    if not generators:
-        raise ValueError(f"{model.name}: realisation needs a model with magma-term objects")
-    probe = model.tensor_obj(Leaf(generators[0]), Leaf(generators[0]))
-    want = Leaf(generators[0]) * Leaf(generators[0])
-    if probe != want:
-        raise ValueError(f"{model.name}: tensor is not the magma product")
-    return tuple(generators)
 
 
 def seq_word(word: Word) -> StrObject:
@@ -471,39 +229,18 @@ def coherence_factors(model: CategoryModel, source: MagmaTerm, target: MagmaTerm
     return down + up
 
 
-class RealisedWordCategory(CategoryModel):
+class RealisedWordCategory(TransportedModel, CategoryModel):
     """Free-monoid objects over a magma-object model, homs through sequencing."""
 
     is_strict = True
+    obj_type, obj_kind, suffix = tuple, "words", "~words"
 
     def __init__(self, base: CategoryModel):
-        self.generators = _magma_objects_or_raise(base)
-        self.base = base
-        self.name = f"{base.name}~words"
-
-    def _check_obj(self, w) -> Word:
-        if not isinstance(w, tuple):
-            raise CompositionError(f"{self.name}: objects are words, got {w!r}")
-        return w
+        self.generators = free_generators(base, Leaf, mag, "magma-term")
+        super().__init__(base)
 
     def par(self, w):
         return par_seq(self.base, seq_word(self._check_obj(w)))
-
-    def hom(self, v, w):
-        base_hom = self.base.hom(self.par(v), self.par(w))
-        if base_hom is None:
-            return None
-        return [Morphism(v, w, p) for p in base_hom]
-
-    def identity(self, w):
-        return Morphism(w, w, self.base.identity(self.par(w)))
-
-    def compose(self, g, f):
-        self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, self.base.compose(g.payload, f.payload))
-
-    def mor_eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod and self.base.mor_eq(f.payload, g.payload)
 
     @property
     def unit_obj(self) -> Word:
@@ -532,34 +269,10 @@ class RealisedWordCategory(CategoryModel):
             raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
         return word
 
-    def render_mor(self, f):
-        return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
 
-
-def realise_tilde_str(model: CategoryModel) -> RealisedWordCategory:
-    return RealisedWordCategory(model)
+realise_tilde_str = RealisedWordCategory
 
 
 def seq_word_functor(model: CategoryModel) -> MonFunctorData:
     """Sequencing as a strict monoidal functor from the word realisation."""
-    realised = realise_tilde_str(model)
-    target = str_model(model)
-
-    def obj_map(w: Word) -> StrObject:
-        return seq_word(w)
-
-    def mor_map(f: Morphism) -> Morphism:
-        return Morphism(seq_word(f.dom), seq_word(f.cod), f.payload)
-
-    return MonFunctorData(
-        source=realised,
-        target=target,
-        obj_map=obj_map,
-        mor_map=mor_map,
-        gamma=lambda v, w: target.identity(seq_word(v + w)),
-        gamma_inv=lambda v, w: target.identity(seq_word(v + w)),
-        u=target.identity(EMPTY_SEQ),
-        u_inv=target.identity(EMPTY_SEQ),
-        strength="strict",
-        name=f"Seq[{model.name}]",
-    )
+    return sequencing(RealisedWordCategory(model), str_model(model), seq_word, f"Seq[{model.name}]")

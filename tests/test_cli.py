@@ -1,10 +1,14 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from moncatkit.cli import main
 from moncatkit.fixtures import fixture_dir
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +119,24 @@ class TestStrictifyCommand:
         assert code == 0
 
 
+class TestBadObjectIsUsageError:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strictify", "thin3", "--left", "w,x"],
+            ["strictify", "mat7", "--left", "0,-1"],
+            ["strictify", "thin", "--left", "(x x),x"],
+            ["nonstrictify", "mat7", "(2 x)"],
+            ["nonstrictify", "thin3", "(x w)"],
+        ],
+    )
+    def test_exits_two_with_message(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestNonstrictifyCommand:
     def test_associator_endpoints_unequal(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "nonstrictify", "mat7", "2", "(2 3)", "3")
@@ -185,6 +207,27 @@ class TestTraceDeterminism:
     def test_dump_json_byte_identical(self, capsys):
         args = ["--format", "json", "strictify", "ns2", "--left", "A,A", "--right", "I,A"]
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+class TestGoldenOutput:
+    """stdout pinned byte for byte against files recorded before the shared-core refactor."""
+
+    CASES = {
+        "check-2functor.json": ["--max-seq-len", "2", "check", "--suite", "2functor"],
+        "check-adjunction-str.json": ["check", "--suite", "adjunction-str"],
+        "check-adjunction-q.json": ["--max-leaves", "4", "check", "--suite", "adjunction-q"],
+        "strictify-ns2.json": ["strictify", "ns2", "--left", "A,I", "--right", "A,A"],
+        "strictify-thin3.json": ["strictify", "thin3", "--left", "x,y", "--right", "z,x,y"],
+        "nonstrictify-mat7.json": ["nonstrictify", "mat7", "2", "(2 3)", "3"],
+        "nonstrictify-ns2.json": ["nonstrictify", "ns2", "(A I)", "A", "(I (A A))"],
+        "coherence-five-leaves.json": ["coherence", "((x (y z)) (w v))", "(x ((y z) (w v)))"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches_recorded_bytes(self, capsys, name):
+        code, out, _ = run_cli(capsys, "--format", "json", *self.CASES[name])
+        assert code == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestEnvOverride:

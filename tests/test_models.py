@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from moncatkit.core import CompositionError, Morphism
 from moncatkit.fixtures import fixture_dir
 from moncatkit.models import (
     CategorySpecError,
@@ -120,6 +121,25 @@ class TestValidateNegative:
         report = validate_category(model)
         assert not report.ok
         assert any("strict" in failure.law for failure in report.failures)
+
+
+class TestTableLookupErrors:
+    def test_foreign_arrows_raise_composition_error(self, ns2):
+        foreign = Morphism("A", "A", "zzz")
+        known = ns2.identity("A")
+        for call in (
+            lambda: ns2.compose(foreign, foreign),
+            lambda: ns2.compose(known, foreign),
+            lambda: ns2.tensor_mor(foreign, known),
+            lambda: ns2.tensor_mor(known, foreign),
+        ):
+            with pytest.raises(CompositionError, match="zzz"):
+                call()
+
+    def test_known_arrows_still_compose(self, ns2):
+        known = ns2.identity("A")
+        assert ns2.mor_eq(ns2.compose(known, known), known)
+        assert ns2.mor_eq(ns2.tensor_mor(known, ns2.identity("I")), known)
 
 
 class TestFreeThinModel:
