@@ -214,7 +214,7 @@ class FiniteTableCategory(CategoryModel):
         self._check_composable(g, f)
         try:
             mid = self._compose[(g.payload, f.payload)]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise CompositionError(f"compose undefined at {g.payload},{f.payload}") from exc
         return self._mor(mid)
 
@@ -231,7 +231,7 @@ class FiniteTableCategory(CategoryModel):
     def tensor_mor(self, f, g):
         try:
             mid = self._tensor_mor[(f.payload, g.payload)]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise CompositionError(f"tensor_mor undefined at {f.payload},{g.payload}") from exc
         return self._mor(mid)
 
@@ -343,11 +343,11 @@ class FreeThinModel(CategoryModel):
         return x
 
     def hom(self, x, y):
-        if leaf_count(x) != leaf_count(y):
-            return []
-        if forget_parens(x) == forget_parens(y):
-            return [Morphism(x, y, None)]
-        return []
+        try:
+            same_word = forget_parens(x) == forget_parens(y)
+        except AttributeError:
+            raise CompositionError(f"{self.name}: objects are magma terms, got {x!r}, {y!r}") from None
+        return [Morphism(x, y, None)] if same_word else []
 
     def the(self, x, y) -> Morphism:
         """The unique arrow x -> y; fails if the hom-set is empty."""

@@ -4,6 +4,11 @@ A term is a binary tree over generator labels, with a single adjoined
 unit that never occurs below a pair node.  Shapes are terms over the
 one-generator alphabet {BULLET} and record nothing but parenthesization.
 Words are flat tuples of labels.
+
+Terms are immutable values, compared by structure.  Each one carries its
+word, built with the term, so reading a term's word, leaf count or
+shape-ness walks no tree.  The module keeps no global state: nothing is
+interned or cached between calls.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ class TermSyntaxError(ValueError):
 class MagmaTerm:
     """Element of the free unital magma over string generators."""
 
-    __slots__ = ("_hash", "_leaves", "_word")
+    __slots__ = ("_hash", "_word")
 
     _hash: int
-    _leaves: int
+    _word: Word
 
     def leaf_count(self) -> int:
-        return self._leaves
+        return len(self._word)
 
     def __mul__(self, other: "MagmaTerm") -> "MagmaTerm":
         return mag(self, other)
@@ -50,7 +55,7 @@ class _UnitTerm(MagmaTerm):
 
     def __init__(self):
         self._hash = hash(("mag-unit",))
-        self._leaves = 0
+        self._word = ()
 
     def __eq__(self, other):
         return isinstance(other, _UnitTerm)
@@ -68,7 +73,7 @@ class Leaf(MagmaTerm):
         if not label or label == "1":
             raise ValueError(f"invalid generator label: {label!r}")
         self.label = label
-        self._leaves = 1
+        self._word = (label,)
         self._hash = hash(("mag-leaf", label))
 
     def __eq__(self, other):
@@ -81,11 +86,11 @@ class Pair(MagmaTerm):
     __slots__ = ("left", "right")
 
     def __init__(self, left: MagmaTerm, right: MagmaTerm):
-        if left is UNIT or right is UNIT or isinstance(left, _UnitTerm) or isinstance(right, _UnitTerm):
+        if isinstance(left, _UnitTerm) or isinstance(right, _UnitTerm):
             raise ValueError("the unit term cannot occur below a pair node")
         self.left = left
         self.right = right
-        self._leaves = left._leaves + right._leaves
+        self._word = left._word + right._word
         self._hash = hash(("mag-pair", left._hash, right._hash))
 
     def __eq__(self, other):
@@ -101,47 +106,22 @@ class Pair(MagmaTerm):
     __hash__ = MagmaTerm.__hash__
 
 
-# Products are hash-consed: the cached pair keeps its children alive, so the
-# id-based key can never be reused by a different term.
-_pair_cache: dict[tuple[int, int], "Pair"] = {}
-
-
 def mag(a: MagmaTerm, b: MagmaTerm) -> MagmaTerm:
     """Unital magma product: the unit absorbs, everything else pairs up."""
     if isinstance(a, _UnitTerm):
         return b
     if isinstance(b, _UnitTerm):
         return a
-    key = (id(a), id(b))
-    cached = _pair_cache.get(key)
-    if cached is None:
-        cached = Pair(a, b)
-        _pair_cache[key] = cached
-    return cached
+    return Pair(a, b)
 
 
 def leaf_count(t: MagmaTerm) -> int:
-    return t._leaves
+    return len(t._word)
 
 
 def forget_parens(t: MagmaTerm) -> Word:
     """In-order word of leaf labels; the unit maps to the empty word."""
-    try:
-        return t._word
-    except AttributeError:
-        pass
-    out: list[str] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.label)
-        elif isinstance(node, Pair):
-            stack.append(node.right)
-            stack.append(node.left)
-    word = tuple(out)
-    t._word = word
-    return word
+    return t._word
 
 
 def collapse(t: MagmaTerm) -> MagmaTerm:
@@ -154,11 +134,7 @@ def collapse(t: MagmaTerm) -> MagmaTerm:
 
 
 def is_shape(t: MagmaTerm) -> bool:
-    if isinstance(t, Leaf):
-        return t.label == BULLET
-    if isinstance(t, Pair):
-        return is_shape(t.left) and is_shape(t.right)
-    return True
+    return t._word.count(BULLET) == len(t._word)
 
 
 def left_comb(n: int) -> MagmaTerm:

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from moncatkit.fixtures import fixture_dir
 from moncatkit.models import (
     CategorySpecError,
     FiniteTableCategory,
+    FreeThinModel,
     load_category,
     save_category,
     validate_category,
@@ -136,6 +139,18 @@ class TestTableLookupErrors:
             with pytest.raises(CompositionError, match="zzz"):
                 call()
 
+    def test_unhashable_payloads_raise_composition_error(self, ns2):
+        matrix = Morphism("A", "A", np.array([[1]]))
+        known = ns2.identity("A")
+        for call in (
+            lambda: ns2.compose(matrix, matrix),
+            lambda: ns2.compose(known, matrix),
+            lambda: ns2.tensor_mor(matrix, known),
+            lambda: ns2.tensor_mor(known, matrix),
+        ):
+            with pytest.raises(CompositionError, match="undefined"):
+                call()
+
     def test_known_arrows_still_compose(self, ns2):
         known = ns2.identity("A")
         assert ns2.mor_eq(ns2.compose(known, known), known)
@@ -157,6 +172,28 @@ class TestFreeThinModel:
         x, y = Leaf("x"), Leaf("y")
         assert len(thin3.hom(x * y, x * y)) == 1
         assert thin3.hom(x * y, y * x) == []
+
+    @pytest.mark.parametrize(
+        "x, y", [("a", Leaf("x")), (Leaf("x"), "a"), (None, UNIT)], ids=["str-term", "term-str", "none-unit"]
+    )
+    @pytest.mark.parametrize("method", ["hom", "the"])
+    def test_foreign_objects_raise_composition_error(self, thin3, method, x, y):
+        with pytest.raises(CompositionError, match="objects are magma terms"):
+            getattr(thin3, method)(x, y)
+
+    def test_validation_leaves_no_memory_behind(self):
+        # Terms are plain values: once a validation's results are dropped,
+        # no term built during it stays reachable.
+        def validate(max_leaves):
+            model = FreeThinModel(("x", "y", "z"), name="thin-xyz")
+            validate_category(model, objects=model.enumerate_objects(max_leaves))
+
+        validate(2)  # warm up the interpreter state the first run creates
+        gc.collect()
+        before = sys.getallocatedblocks()
+        validate(3)
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 1000
 
     def test_validates_clean(self, thin):
         report = validate_category(thin, objects=thin.enumerate_objects(4), max_instances=4000)

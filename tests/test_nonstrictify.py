@@ -79,6 +79,13 @@ class TestParQ:
         with pytest.raises(ValueError):
             QObject(("X", "Y"), parse_term("(x y)"))
 
+    @pytest.mark.parametrize(
+        "entries, shape", [((), "1"), (("A",), "x"), (("A",), None)], ids=["str-unit", "str-leaf", "none"]
+    )
+    def test_foreign_shape_rejected(self, entries, shape):
+        with pytest.raises(ValueError, match="bullet term"):
+            QObject(entries, shape)
+
 
 class TestStarQ:
     def test_concat_and_pair(self, ns2):

@@ -13,6 +13,7 @@ from moncatkit.terms import (
     attach_labels,
     collapse,
     forget_parens,
+    is_shape,
     leaf_count,
     left_comb,
     mag,
@@ -205,3 +206,51 @@ def test_left_comb_word_length(n):
         assert left_comb(0) is UNIT
     else:
         assert forget_parens(attach_labels(left_comb(n), labels)) == labels
+
+
+def reference_word(t: MagmaTerm) -> tuple:
+    """In-order leaf labels by walking the tree, ignoring the word a term carries."""
+    if isinstance(t, Leaf):
+        return (t.label,)
+    if isinstance(t, Pair):
+        return reference_word(t.left) + reference_word(t.right)
+    return ()
+
+
+def assert_word_agrees(t: MagmaTerm):
+    word = reference_word(t)
+    assert forget_parens(t) == word
+    assert leaf_count(t) == t.leaf_count() == len(word)
+    assert is_shape(t) == all(label == BULLET for label in word)
+
+
+X, Y, Z = Leaf("x"), Leaf("y"), Leaf("z")
+
+CONSTRUCTED = {
+    "leaf": Leaf("x"),
+    "bullet": B,
+    "pair": Pair(X, Pair(B, Z)),
+    "mag-unit-unit": mag(UNIT, UNIT),
+    "mag-unit-left": mag(UNIT, X),
+    "mag-unit-right": mag(Pair(X, Y), UNIT),
+    "mag-pairs": mag(mag(X, B), mag(Y, Z)),
+    "parse-unit": parse_term("1"),
+    "parse": parse_term("((x •) (y (z x)))"),
+    "attach-unit": attach_labels(UNIT, ()),
+    "attach": attach_labels(sh("(* (* *))"), ("x", BULLET, "z")),
+    "collapse-unit": collapse(UNIT),
+    "collapse": collapse(parse_term("((x y) (z x))")),
+    **{f"left-comb-{n}": left_comb(n) for n in range(5)},
+    **{f"shape-{n}-{i}": s for n in range(6) for i, s in enumerate(shapes_with_leaves(n))},
+}
+
+
+@pytest.mark.parametrize("t", CONSTRUCTED.values(), ids=CONSTRUCTED.keys())
+def test_word_agrees_with_tree_walk(t):
+    assert_word_agrees(t)
+
+
+@given(terms_strategy, terms_strategy)
+def test_word_agrees_with_tree_walk_under_mag(a, b):
+    for t in (a, mag(a, b), mag(b, a), collapse(mag(a, b))):
+        assert_word_agrees(t)
