@@ -2,6 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a law failed, 2 usage or input errors.
 JSON output is byte-identical across runs for fixed inputs and seed.
+Objects on the command line are parsed by the constructions' own
+``parse_obj``, and models and their universes come from ``models.py``.
 """
 
 from __future__ import annotations
@@ -15,22 +17,16 @@ from .core import CategoryModel, CompositionError, compose_factors, render_facto
 from .fixtures import FIXTURE_ENV, builtin_fixtures, fixture_dir
 from .laws import LawReport, run_2functor_suite, run_adjunction_suite_q, run_adjunction_suite_str
 from .models import (
+    BUILTIN_MODELS,
     CategorySpecError,
-    FreeMonoidThinModel,
     FreeThinModel,
-    MatrixModCategory,
+    default_universe,
     load_category,
     validate_category,
 )
-from .nonstrictify import EMPTY_Q, QObject, assoc_q, par_q, star_q_objects
-from .strictify import (
-    StrObject,
-    coherence_factors,
-    par_seq,
-    star_objects,
-    theta_factors,
-)
-from .terms import MagmaTerm, TermSyntaxError, collapse, forget_parens, leaf_count, parse_term, render_term
+from .nonstrictify import EMPTY_Q, QObject, par_q, q_model
+from .strictify import coherence_factors, par_seq, star_objects, str_model, theta_factors
+from .terms import TermSyntaxError, forget_parens, leaf_count, parse_term, render_term
 
 
 class UsageError(Exception):
@@ -39,14 +35,8 @@ class UsageError(Exception):
 
 def _resolve_model(spec: str, fixtures: str | None) -> CategoryModel:
     """A builtin model name, a shipped fixture name, or a path to a spec file."""
-    builtins = {
-        "thin": lambda: FreeThinModel(name="thin"),
-        "thin3": lambda: FreeThinModel(generators=("x", "y", "z"), name="thin3"),
-        "words3": lambda: FreeMonoidThinModel(generators=("x", "y", "z"), name="words3"),
-        "mat7": lambda: MatrixModCategory(modulus=7),
-    }
-    if spec in builtins:
-        return builtins[spec]()
+    if spec in BUILTIN_MODELS:
+        return BUILTIN_MODELS[spec]()
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         return load_category(path)
@@ -54,24 +44,6 @@ def _resolve_model(spec: str, fixtures: str | None) -> CategoryModel:
     if candidate.exists():
         return load_category(candidate, name=spec)
     raise CategorySpecError("parse", f"no such model or spec file: {spec}")
-
-
-def _default_universe(model: CategoryModel, max_leaves: int, seed: int):
-    """Validation universe: exhaustive for finite models, bounded otherwise."""
-    import random
-
-    if model.objects() is not None:
-        return None, None
-    if isinstance(model, FreeThinModel):
-        bound = max_leaves if len(model.generators) == 1 else min(max_leaves, 3)
-        return model.enumerate_objects(bound), None
-    if isinstance(model, FreeMonoidThinModel):
-        bound = max_leaves if len(model.generators) == 1 else min(max_leaves, 3)
-        return model.enumerate_objects(bound), None
-    if isinstance(model, MatrixModCategory):
-        objects = [1, 2, 3]
-        return objects, model.sample_morphisms([1, 2], random.Random(seed), per_pair=2)
-    raise UsageError(f"cannot choose a universe for {model.name}")
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]):
@@ -92,29 +64,31 @@ def _report_exit(report: LawReport, fmt: str) -> int:
 
 def cmd_validate(args) -> int:
     model = _resolve_model(args.model, args.fixtures)
-    objects, morphisms = _default_universe(model, args.max_leaves, args.seed)
+    objects, morphisms = default_universe(model, args.max_leaves, args.seed)
     report = validate_category(model, objects=objects, morphisms=morphisms, seed=args.seed)
     return _report_exit(report, args.format)
 
 
-def _parse_term_arg(text: str) -> MagmaTerm:
+def _parse_arg(parse, text: str):
+    """``parse(text)``, with malformed text or a foreign object reported as a usage error."""
     try:
-        return parse_term(text)
+        return parse(text)
     except TermSyntaxError as exc:
         raise UsageError(f"bad term {text!r}: {exc}") from exc
+    except CompositionError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_coherence(args) -> int:
-    source = _parse_term_arg(args.source)
-    target = _parse_term_arg(args.target)
     if args.model:
         model = _resolve_model(args.model, args.fixtures)
         if not isinstance(model, FreeThinModel):
             raise UsageError("coherence traces need a free-magma model (e.g. thin, thin3)")
-        unknown = (set(forget_parens(source)) | set(forget_parens(target))) - set(model.generators)
-        if unknown:
-            raise UsageError(f"labels {sorted(unknown)} are not generators of {model.name}")
+        source = _parse_arg(model.parse_obj, args.source)
+        target = _parse_arg(model.parse_obj, args.target)
     else:
+        source = _parse_arg(parse_term, args.source)
+        target = _parse_arg(parse_term, args.target)
         labels = sorted(set(forget_parens(source)) | set(forget_parens(target)))
         model = FreeThinModel(generators=tuple(labels) or ("•",), name="thin")
     if leaf_count(source) != leaf_count(target):
@@ -151,35 +125,22 @@ def cmd_coherence(args) -> int:
     return 0 if verified else 1
 
 
-def _parse_sequence(model: CategoryModel, text: str) -> StrObject:
-    text = text.strip()
-    if text in ("", "1", "()"):
-        return StrObject(())
-    try:
-        return StrObject(tuple(model.parse_obj(part.strip()) for part in text.split(",")))
-    except CompositionError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_strictify(args) -> int:
     model = _resolve_model(args.model, args.fixtures)
-    left = _parse_sequence(model, args.left)
-    right = _parse_sequence(model, args.right)
+    seqs = str_model(model)
+    left = _parse_arg(seqs.parse_obj, args.left)
+    right = _parse_arg(seqs.parse_obj, args.right)
     joined = star_objects(left, right)
     factors = theta_factors(model, left, right)
     dom = model.tensor_obj(par_seq(model, left), par_seq(model, right))
     composite = compose_factors(model, factors, dom)
     rendered = [render_factor(model, f) for f in factors]
-
-    def show_seq(s: StrObject) -> str:
-        return "(" + ",".join(model.render_obj(x) for x in s.seq) + ")"
-
     payload = {
         "command": "strictify",
         "model": model.name,
-        "left": show_seq(left),
-        "right": show_seq(right),
-        "concatenation": show_seq(joined),
+        "left": seqs.render_obj(left),
+        "right": seqs.render_obj(right),
+        "concatenation": seqs.render_obj(joined),
         "unit_correspondence": {"empty_sequence": "()", "parenthesization": model.render_obj(model.unit_obj)},
         "par_left": model.render_obj(par_seq(model, left)),
         "par_right": model.render_obj(par_seq(model, right)),
@@ -191,9 +152,9 @@ def cmd_strictify(args) -> int:
     lines = [
         f"sequence category over {model.name}",
         f"  unit: () corresponds to {model.render_obj(model.unit_obj)}",
-        f"  left  {show_seq(left)}  parenthesizes to {payload['par_left']}",
-        f"  right {show_seq(right)}  parenthesizes to {payload['par_right']}",
-        f"  concatenation {show_seq(joined)}  parenthesizes to {payload['par_concatenation']}",
+        f"  left  {seqs.render_obj(left)}  parenthesizes to {payload['par_left']}",
+        f"  right {seqs.render_obj(right)}  parenthesizes to {payload['par_right']}",
+        f"  concatenation {seqs.render_obj(joined)}  parenthesizes to {payload['par_concatenation']}",
         f"  theta: {payload['theta_dom']} -> {payload['theta_cod']}",
     ]
     if not rendered:
@@ -204,18 +165,10 @@ def cmd_strictify(args) -> int:
     return 0
 
 
-def _parse_qobject(model: CategoryModel, text: str) -> QObject:
-    term = _parse_term_arg(text)
-    try:
-        entries = tuple(model.parse_obj(label) for label in forget_parens(term))
-    except CompositionError as exc:
-        raise UsageError(str(exc)) from exc
-    return QObject(entries, collapse(term))
-
-
 def cmd_nonstrictify(args) -> int:
     model = _resolve_model(args.model, args.fixtures)
-    operands = [_parse_qobject(model, text) for text in args.terms]
+    shaped = q_model(model)
+    operands = [_parse_arg(shaped.parse_obj, text) for text in args.terms]
 
     def show(o: QObject) -> str:
         if not o.seq:
@@ -238,18 +191,16 @@ def cmd_nonstrictify(args) -> int:
     for entry in payload["operands"]:
         lines.append(f"  {entry['object']}  parenthesizes to {entry['parenthesization']}")
     if len(operands) == 3:
-        arrow = assoc_q(model, *operands)
-        left_obj = star_q_objects(star_q_objects(operands[0], operands[1]), operands[2])
-        right_obj = star_q_objects(operands[0], star_q_objects(operands[1], operands[2]))
+        arrow = shaped.associator(*operands)
         payload["associator"] = {
-            "dom": show(left_obj),
-            "cod": show(right_obj),
-            "endpoints_equal": left_obj == right_obj,
+            "dom": show(arrow.dom),
+            "cod": show(arrow.cod),
+            "endpoints_equal": arrow.dom == arrow.cod,
             "payload": model.render_mor(arrow.payload),
         }
-        lines.append(f"  associator dom: {show(left_obj)}")
-        lines.append(f"  associator cod: {show(right_obj)}")
-        lines.append(f"  endpoints equal as objects: {left_obj == right_obj}")
+        lines.append(f"  associator dom: {show(arrow.dom)}")
+        lines.append(f"  associator cod: {show(arrow.cod)}")
+        lines.append(f"  endpoints equal as objects: {arrow.dom == arrow.cod}")
         lines.append(f"  ambient component: {model.render_mor(arrow.payload)}")
     _emit(payload, args.format, lines)
     return 0
@@ -264,7 +215,7 @@ def cmd_check(args) -> int:
         else:
             models = list(fixtures.models.values())
         for model in models:
-            objects, morphisms = _default_universe(model, args.max_leaves, args.seed)
+            objects, morphisms = default_universe(model, args.max_leaves, args.seed)
             report = validate_category(model, objects=objects, morphisms=morphisms, seed=args.seed)
             merged.universe_size += report.universe_size
             for failure in report.failures:

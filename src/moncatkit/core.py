@@ -3,7 +3,8 @@
 A ``CategoryModel`` supplies decidable morphism equality together with
 composition, tensor and the three structural isomorphism families.  All
 checkers below are pure: they take explicit object/arrow tuples and report
-a boolean, so exhaustive and sampled drivers can share them.
+a boolean, so exhaustive and sampled drivers can share them.  Every driver
+that needs all arrows between some objects gets them from ``arrows_over``.
 """
 
 from __future__ import annotations
@@ -50,16 +51,7 @@ class CategoryModel:
 
     def morphisms(self) -> Optional[list[Morphism]]:
         objs = self.objects()
-        if objs is None:
-            return None
-        out = []
-        for x in objs:
-            for y in objs:
-                hom = self.hom(x, y)
-                if hom is None:
-                    return None
-                out.extend(hom)
-        return out
+        return None if objs is None else arrows_over(self, objs)
 
     def hom(self, x, y) -> Optional[list[Morphism]]:
         return None
@@ -138,6 +130,21 @@ class CategoryModel:
 
     def render_mor(self, f: Morphism) -> str:
         return f"{self.render_obj(f.dom)} -> {self.render_obj(f.cod)} [{f.payload}]"
+
+
+def arrows_over(model: CategoryModel, objects) -> Optional[list[Morphism]]:
+    """Every arrow between the given objects, hom-set by hom-set.
+
+    None as soon as one hom-set is not enumerable.
+    """
+    out = []
+    for x in objects:
+        for y in objects:
+            hom = model.hom(x, y)
+            if hom is None:
+                return None
+            out.extend(hom)
+    return out
 
 
 @dataclass
@@ -404,8 +411,15 @@ def check_monoidal_nat(alpha: NatTransData, x, y) -> bool:
 
 # -- coherence traces -------------------------------------------------------------
 
-_INVERSE_KIND = {"a": "a_inv", "a_inv": "a", "l": "l_inv", "l_inv": "l", "r": "r_inv", "r_inv": "r"}
-_FACTOR_SYMBOL = {"a": "a", "a_inv": "a⁻¹", "l": "ℓ", "l_inv": "ℓ⁻¹", "r": "r", "r_inv": "r⁻¹"}
+# kind -> (inverse kind, rendered symbol, the model's method)
+_FACTOR_KINDS = {
+    "a": ("a_inv", "a", "associator"),
+    "a_inv": ("a", "a⁻¹", "associator_inv"),
+    "l": ("l_inv", "ℓ", "lunitor"),
+    "l_inv": ("l", "ℓ⁻¹", "lunitor_inv"),
+    "r": ("r_inv", "r", "runitor"),
+    "r_inv": ("r", "r⁻¹", "runitor_inv"),
+}
 
 
 @dataclass(frozen=True)
@@ -427,25 +441,15 @@ class Factor:
         return Factor(self.kind, self.args, self.wraps + (("R", obj),))
 
     def inverted(self) -> "Factor":
-        return Factor(_INVERSE_KIND[self.kind], self.args, self.wraps)
+        return Factor(_FACTOR_KINDS[self.kind][0], self.args, self.wraps)
 
 
 def interpret_factor(model: CategoryModel, factor: Factor) -> Morphism:
-    kind = factor.kind
-    if kind == "a":
-        arrow = model.associator(*factor.args)
-    elif kind == "a_inv":
-        arrow = model.associator_inv(*factor.args)
-    elif kind == "l":
-        arrow = model.lunitor(*factor.args)
-    elif kind == "l_inv":
-        arrow = model.lunitor_inv(*factor.args)
-    elif kind == "r":
-        arrow = model.runitor(*factor.args)
-    elif kind == "r_inv":
-        arrow = model.runitor_inv(*factor.args)
-    else:
-        raise ValueError(f"unknown factor kind {kind!r}")
+    try:
+        method = _FACTOR_KINDS[factor.kind][2]
+    except KeyError:
+        raise ValueError(f"unknown factor kind {factor.kind!r}") from None
+    arrow = getattr(model, method)(*factor.args)
     for side, obj in factor.wraps:
         if side == "L":
             arrow = model.tensor_mor(model.identity(obj), arrow)
@@ -455,7 +459,7 @@ def interpret_factor(model: CategoryModel, factor: Factor) -> Morphism:
 
 
 def render_factor(model: CategoryModel, factor: Factor) -> str:
-    text = f"{_FACTOR_SYMBOL[factor.kind]}({', '.join(model.render_obj(x) for x in factor.args)})"
+    text = f"{_FACTOR_KINDS[factor.kind][1]}({', '.join(model.render_obj(x) for x in factor.args)})"
     for side, obj in factor.wraps:
         pad = f"id({model.render_obj(obj)})"
         text = f"({pad} ⊗ {text})" if side == "L" else f"({text} ⊗ {pad})"

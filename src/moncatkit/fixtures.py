@@ -3,13 +3,14 @@
 The JSON fixture files live inside the package; the MONCATKIT_FIXTURES
 environment variable (or an explicit path) overrides the directory.  All
 functor data here has been checked against the hexagon/unit-square and
-monoidality laws by the test suite.
+monoidality laws by the test suite.  Beside the two table fixtures, the
+bundle holds the builtin models of ``models.BUILTIN_MODELS``, each with the
+objects and arrows ``models.default_universe`` chooses at bound 2.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CategoryModel, MonFunctorData, Morphism, NatTransData, identity_functor, identity_nat
-from .models import FreeMonoidThinModel, FreeThinModel, MatrixModCategory, load_category
+from .models import BUILTIN_MODELS, default_universe, load_category
 
 FIXTURE_ENV = "MONCATKIT_FIXTURES"
 
@@ -101,14 +102,9 @@ def builtin_fixtures(path: str | os.PathLike | None = None, seed: int = 0) -> Fi
     directory = fixture_dir(path)
     trivial = load_category(directory / "trivial.json", name="trivial")
     ns2 = load_category(directory / "ns2.json", name="ns2")
-    thin = FreeThinModel(name="thin")
-    thin3 = FreeThinModel(generators=("x", "y", "z"), name="thin3")
-    words3 = FreeMonoidThinModel(generators=("x", "y", "z"), name="words3")
-    mat7 = MatrixModCategory(modulus=7)
-
-    models: dict[str, CategoryModel] = {
-        m.name: m for m in (trivial, ns2, thin, thin3, words3, mat7)
-    }
+    models: dict[str, CategoryModel] = {"trivial": trivial, "ns2": ns2}
+    models.update((name, make()) for name, make in BUILTIN_MODELS.items())
+    mat7 = models["mat7"]
 
     def m11(value: int) -> Morphism:
         return Morphism(1, 1, np.array([[value]], dtype=np.int64))
@@ -182,31 +178,9 @@ def builtin_fixtures(path: str | os.PathLike | None = None, seed: int = 0) -> Fi
     )
     nats = {n.name: n for n in (alpha_twist, beta_twist, mu)}
 
-    rng = random.Random(seed)
-    objects = {
-        "trivial": ["I"],
-        "ns2": ["I", "A"],
-        "thin": thin.enumerate_objects(2),
-        "thin3": thin3.enumerate_objects(2),
-        "words3": words3.enumerate_objects(2),
-        "mat7": [1, 2, 3],
-    }
-    arrows = {}
+    objects, arrows = {}, {}
     for name, model in models.items():
-        sample: list[Morphism] = []
-        enumerable = True
-        for x in objects[name]:
-            for y in objects[name]:
-                hom = model.hom(x, y)
-                if hom is None:
-                    enumerable = False
-                    break
-                sample.extend(hom)
-            if not enumerable:
-                break
-        if not enumerable:
-            sample = model.sample_morphisms([1, 2], rng, per_pair=2)
-        arrows[name] = sample
+        objects[name], arrows[name] = default_universe(model, 2, seed)
 
     composable_pairs = [(f_twist, f_triv_ns2), (f_mat, f_twist), (f_mat, f_triv_ns2)]
     vertical_pairs = [(beta_twist, alpha_twist)]

@@ -14,6 +14,7 @@ from .core import (
     CategoryModel,
     MonFunctorData,
     NatTransData,
+    arrows_over,
     compose_functors,
     compose_nats,
     hcompose_nats,
@@ -154,26 +155,18 @@ _CONSTRUCTIONS = (StrictifiedModel, NonStrictifiedModel)  # in report order
 
 
 def _universe(cls: type, fixtures, model: CategoryModel, size: int = 2, base_objects=None):
+    """Objects of the construction over a model, and its arrows between them.
+
+    The arrows come from the hom-sets when the base enumerates them;
+    otherwise the base arrow sample is transported along one-entry objects.
+    """
     base = fixtures.objects_for(model) if base_objects is None else base_objects
     objs = cls.objects_over(base, size)
-    arrows = _transported_arrows(construction(cls, model), objs, fixtures.arrows_for(model))
+    wrapped = construction(cls, model)
+    arrows = arrows_over(wrapped, objs)
+    if arrows is None:
+        arrows = [wrapped.embed_arrow(f) for f in fixtures.arrows_for(model)]
     return objs, arrows
-
-
-def _transported_arrows(wrapped, objs, base_arrows):
-    """Arrows of a sequence/shape category over the given objects.
-
-    Uses the hom tables when the base category enumerates them, otherwise
-    transports a base arrow sample along length-one objects.
-    """
-    out = []
-    for s in objs:
-        for t in objs:
-            hom = wrapped.hom(s, t)
-            if hom is None:
-                return [wrapped.embed_arrow(f) for f in base_arrows]
-            out.extend(hom)
-    return out
 
 
 def run_2functor_suite(fixtures, seed: int = 0, max_len: int = 2) -> LawReport:

@@ -4,7 +4,12 @@ The table category is loaded from a JSON spec and is the workhorse for
 exhaustive checking.  The thin models (at most one arrow between any two
 objects) are coherence oracles: every structural diagram commutes in them
 by construction, so any composite built by the library can be confronted
-with the unique arrow between its endpoints.
+with the unique arrow between its endpoints.  They share their arrows
+through ``ThinStructure``.
+
+The four models that need no spec file are built in one place,
+``BUILTIN_MODELS``, and ``default_universe`` chooses the objects and arrows
+any model is checked over; the CLI and the fixtures both read them.
 """
 
 from __future__ import annotations
@@ -16,17 +21,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CategoryModel, CompositionError, Morphism, check_pentagon, check_triangle
+from .core import CategoryModel, CompositionError, Morphism, arrows_over, check_pentagon, check_triangle
 from .laws import LawReport
 from .terms import (
     UNIT,
     MagmaTerm,
     Word,
+    attach_labels,
+    enumerate_shapes,
     forget_parens,
     leaf_count,
     mag,
-    parse_term,
+    parse_generated_term,
+    parse_word,
     render_term,
+    render_word,
 )
 
 
@@ -206,9 +215,11 @@ class FiniteTableCategory(CategoryModel):
         return Morphism(self._dom[mid], self._cod[mid], mid)
 
     def identity(self, x):
-        if x not in self._identity:
-            raise CompositionError(f"unknown object {x!r}")
-        return self._mor(self._identity[x])
+        try:
+            mid = self._identity[x]
+        except (KeyError, TypeError) as exc:
+            raise CompositionError(f"unknown object {x!r}") from exc
+        return self._mor(mid)
 
     def compose(self, g, f):
         self._check_composable(g, f)
@@ -225,7 +236,7 @@ class FiniteTableCategory(CategoryModel):
     def tensor_obj(self, x, y):
         try:
             return self._tensor_obj[(x, y)]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise CompositionError(f"tensor_obj undefined at {x},{y}") from exc
 
     def tensor_mor(self, f, g):
@@ -257,9 +268,6 @@ class FiniteTableCategory(CategoryModel):
 
     def runitor_inv(self, x):
         return self._structural(self._run_inv, x, x)
-
-    def render_obj(self, x):
-        return str(x)
 
     def parse_obj(self, text):
         if text not in set(self._objects):
@@ -322,7 +330,46 @@ def save_category(model: FiniteTableCategory, path) -> None:
         handle.write("\n")
 
 
-class FreeThinModel(CategoryModel):
+class ThinStructure:
+    """Identity, composition, equality and the unique arrow of a thin model.
+
+    A mixin, not a ``CategoryModel``, so that bench/tracer.py times each
+    method once, under the concrete class.  Subclasses supply ``hom`` and
+    ``_check_obj``, the name of their objects (``_obj_kind``), and
+    ``_show`` and ``_mismatch`` for the message when a hom-set is empty.
+    The unit is absorbed on the nose, so every unitor is an identity.
+    """
+
+    _obj_kind: str
+
+    def _foreign(self, *objs) -> CompositionError:
+        return CompositionError(f"{self.name}: objects are {self._obj_kind}, got {', '.join(map(repr, objs))}")
+
+    def the(self, x, y) -> Morphism:
+        """The unique arrow x -> y; fails if the hom-set is empty."""
+        hom = self.hom(x, y)
+        if not hom:
+            raise CompositionError(f"{self.name}: no arrow {self._show(x)} -> {self._show(y)} ({self._mismatch})")
+        return hom[0]
+
+    def identity(self, x):
+        self._check_obj(x)
+        return Morphism(x, x, None)
+
+    lunitor = lunitor_inv = runitor = runitor_inv = identity
+
+    def compose(self, g, f):
+        self._check_composable(g, f)
+        return Morphism(f.dom, g.cod, None)
+
+    def mor_eq(self, f, g):
+        return f.dom == g.dom and f.cod == g.cod
+
+    def render_mor(self, f):
+        return f"!{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}"
+
+
+class FreeThinModel(ThinStructure, CategoryModel):
     """Thin category on free-magma terms.
 
     There is exactly one arrow between two terms carrying the same word of
@@ -332,6 +379,7 @@ class FreeThinModel(CategoryModel):
     """
 
     is_strict = False
+    _obj_kind, _show, _mismatch = "magma terms", staticmethod(render_term), "words differ"
 
     def __init__(self, generators: Sequence[str] = ("•",), name: str = "thin"):
         self.generators = tuple(generators)
@@ -339,35 +387,15 @@ class FreeThinModel(CategoryModel):
 
     def _check_obj(self, x) -> MagmaTerm:
         if not isinstance(x, MagmaTerm):
-            raise CompositionError(f"{self.name}: objects are magma terms, got {x!r}")
+            raise self._foreign(x)
         return x
 
     def hom(self, x, y):
         try:
             same_word = forget_parens(x) == forget_parens(y)
         except AttributeError:
-            raise CompositionError(f"{self.name}: objects are magma terms, got {x!r}, {y!r}") from None
+            raise self._foreign(x, y) from None
         return [Morphism(x, y, None)] if same_word else []
-
-    def the(self, x, y) -> Morphism:
-        """The unique arrow x -> y; fails if the hom-set is empty."""
-        hom = self.hom(x, y)
-        if not hom:
-            raise CompositionError(
-                f"{self.name}: no arrow {render_term(x)} -> {render_term(y)} (words differ)"
-            )
-        return hom[0]
-
-    def identity(self, x):
-        self._check_obj(x)
-        return Morphism(x, x, None)
-
-    def compose(self, g, f):
-        self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, None)
-
-    def mor_eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod
 
     @property
     def unit_obj(self):
@@ -377,39 +405,32 @@ class FreeThinModel(CategoryModel):
         return mag(self._check_obj(x), self._check_obj(y))
 
     def tensor_mor(self, f, g):
-        return Morphism(mag(f.dom, g.dom), mag(f.cod, g.cod), None)
+        try:
+            return Morphism(mag(f.dom, g.dom), mag(f.cod, g.cod), None)
+        except AttributeError:
+            raise self._foreign(f.dom, f.cod, g.dom, g.cod) from None
 
     def associator(self, x, y, z):
-        return self.the(mag(mag(x, y), z), mag(x, mag(y, z)))
+        try:
+            return self.the(mag(mag(x, y), z), mag(x, mag(y, z)))
+        except AttributeError:
+            raise self._foreign(x, y, z) from None
 
     def associator_inv(self, x, y, z):
-        return self.the(mag(x, mag(y, z)), mag(mag(x, y), z))
-
-    def lunitor(self, x):
-        return self.identity(self._check_obj(x))
-
-    def lunitor_inv(self, x):
-        return self.identity(self._check_obj(x))
-
-    def runitor(self, x):
-        return self.identity(self._check_obj(x))
-
-    def runitor_inv(self, x):
-        return self.identity(self._check_obj(x))
+        try:
+            return self.the(mag(x, mag(y, z)), mag(mag(x, y), z))
+        except AttributeError:
+            raise self._foreign(x, y, z) from None
 
     def enumerate_objects(self, max_leaves: int) -> list[MagmaTerm]:
         """Terms up to a leaf bound: shapes filled with all label assignments."""
-        from itertools import product
-
-        from .terms import attach_labels, enumerate_shapes
-
         out: list[MagmaTerm] = []
         for shape in enumerate_shapes(max_leaves):
             n = leaf_count(shape)
             if n == 0:
                 out.append(shape)
                 continue
-            for labels in product(self.generators, repeat=n):
+            for labels in itertools.product(self.generators, repeat=n):
                 out.append(attach_labels(shape, labels))
         return out
 
@@ -417,17 +438,10 @@ class FreeThinModel(CategoryModel):
         return render_term(x)
 
     def parse_obj(self, text):
-        term = parse_term(text)
-        bad = [lab for lab in forget_parens(term) if lab not in self.generators]
-        if bad:
-            raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
-        return term
-
-    def render_mor(self, f):
-        return f"!{render_term(f.dom)}=>{render_term(f.cod)}"
+        return parse_generated_term(self, text)
 
 
-class FreeMonoidThinModel(CategoryModel):
+class FreeMonoidThinModel(ThinStructure, CategoryModel):
     """Thin strict category on flat words, tensor by concatenation.
 
     One arrow between any two words of equal length; the ambient model for
@@ -435,6 +449,7 @@ class FreeMonoidThinModel(CategoryModel):
     """
 
     is_strict = True
+    _obj_kind, _show, _mismatch = "words (tuples)", staticmethod(str), "lengths differ"
 
     def __init__(self, generators: Sequence[str] = ("x",), name: str = "words"):
         self.generators = tuple(generators)
@@ -442,30 +457,15 @@ class FreeMonoidThinModel(CategoryModel):
 
     def _check_obj(self, w) -> Word:
         if not isinstance(w, tuple):
-            raise CompositionError(f"{self.name}: objects are words (tuples), got {w!r}")
+            raise self._foreign(w)
         return w
 
     def hom(self, v, w):
-        if len(v) == len(w):
-            return [Morphism(v, w, None)]
-        return []
-
-    def the(self, v, w) -> Morphism:
-        hom = self.hom(v, w)
-        if not hom:
-            raise CompositionError(f"{self.name}: no arrow {v} -> {w} (lengths differ)")
-        return hom[0]
-
-    def identity(self, w):
-        self._check_obj(w)
-        return Morphism(w, w, None)
-
-    def compose(self, g, f):
-        self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, None)
-
-    def mor_eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod
+        try:
+            same_length = len(v) == len(w)
+        except TypeError:
+            raise self._foreign(v, w) from None
+        return [Morphism(v, w, None)] if same_length else []
 
     @property
     def unit_obj(self) -> Word:
@@ -475,30 +475,22 @@ class FreeMonoidThinModel(CategoryModel):
         return self._check_obj(v) + self._check_obj(w)
 
     def tensor_mor(self, f, g):
-        return Morphism(f.dom + g.dom, f.cod + g.cod, None)
+        try:
+            return Morphism(f.dom + g.dom, f.cod + g.cod, None)
+        except TypeError:
+            raise self._foreign(f.dom, f.cod, g.dom, g.cod) from None
 
     def enumerate_objects(self, max_len: int) -> list[Word]:
-        from itertools import product
-
         out: list[Word] = []
         for n in range(max_len + 1):
-            out.extend(product(self.generators, repeat=n))
+            out.extend(itertools.product(self.generators, repeat=n))
         return out
 
     def render_obj(self, w):
-        return ",".join(w) if w else "1"
+        return render_word(w)
 
     def parse_obj(self, text):
-        if text == "1":
-            return ()
-        word = tuple(text.split(","))
-        bad = [lab for lab in word if lab not in self.generators]
-        if bad:
-            raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
-        return word
-
-    def render_mor(self, f):
-        return f"!{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}"
+        return parse_word(self, text)
 
 
 class MatrixModCategory(CategoryModel):
@@ -563,9 +555,6 @@ class MatrixModCategory(CategoryModel):
                     out.append(Morphism(int(dom), int(cod), self._mat(entries)))
         return out
 
-    def render_obj(self, n):
-        return str(n)
-
     def parse_obj(self, text):
         try:
             value = int(text)
@@ -579,6 +568,34 @@ class MatrixModCategory(CategoryModel):
         if f.payload.size <= 16:
             return f"{f.dom}->{f.cod}:{f.payload.tolist()}"
         return f"{f.dom}->{f.cod}:matrix{f.payload.shape}"
+
+
+# The models that need no spec file, by name; each call builds a fresh one.
+BUILTIN_MODELS = {
+    "thin": lambda: FreeThinModel(name="thin"),
+    "thin3": lambda: FreeThinModel(generators=("x", "y", "z"), name="thin3"),
+    "words3": lambda: FreeMonoidThinModel(generators=("x", "y", "z"), name="words3"),
+    "mat7": lambda: MatrixModCategory(modulus=7),
+}
+
+
+def default_universe(model: CategoryModel, max_leaves: int, seed: int) -> tuple[list, list[Morphism]]:
+    """Objects and arrows to check a model over.
+
+    Every object and arrow of a finite model; terms or words up to
+    ``max_leaves`` entries for a thin model (at most 3 over several
+    generators), with every arrow between them; dimensions 1-3 and seeded
+    matrices between dimensions 1 and 2 for a matrix model.
+    """
+    objects = model.objects()
+    if objects is None:
+        if isinstance(model, ThinStructure):
+            objects = model.enumerate_objects(max_leaves if len(model.generators) == 1 else min(max_leaves, 3))
+        elif isinstance(model, MatrixModCategory):
+            return [1, 2, 3], model.sample_morphisms([1, 2], random.Random(seed), per_pair=2)
+        else:
+            raise ValueError(f"cannot choose a universe for {model.name}")
+    return objects, arrows_over(model, objects)
 
 
 def validate_category(
@@ -606,18 +623,8 @@ def validate_category(
         raise ValueError(f"{model.name} is not finitely enumerable; pass an object sample")
     if morphisms is None:
         morphisms = model.morphisms()
-        if morphisms is None:
-            enumerated: Optional[list[Morphism]] = []
-            for x in objects:
-                for y in objects:
-                    hom = model.hom(x, y)
-                    if hom is None:
-                        enumerated = None
-                        break
-                    enumerated.extend(hom)
-                if enumerated is None:
-                    break
-            morphisms = enumerated
+    if morphisms is None:
+        morphisms = arrows_over(model, objects)
     if morphisms is None:
         sampler = getattr(model, "sample_morphisms", None)
         if sampler is None:

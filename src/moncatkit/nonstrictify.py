@@ -10,7 +10,9 @@ embeddings, ``beta``, the lifts and the 2-functor maps.  The tensors stay
 apart: ``strictify.py`` concatenates and conjugates by ``theta``, while
 here concatenating sequences and pairing shapes is strictly unital but
 only associative up to the transported associator ``assoc_q``, so ``C_q``
-is non-strict even over a strict base.
+is non-strict even over a strict base.  Each construction owns its object
+syntax (``parse_obj``): a shaped sequence is written as a term over base
+object ids, a sequence as comma-separated ids.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .terms import (
     leaf_count,
     left_comb,
     mag,
+    parse_generated_term,
     parse_term,
     render_term,
     shapes_with_leaves,
@@ -252,14 +255,6 @@ class TransportedModel:
     def par(self, o):
         return par_q(self.base, self._check_obj(o))
 
-    def make_mor(self, dom, cod, payload: Morphism) -> Morphism:
-        if not (
-            self.base.obj_eq(payload.dom, self.par(dom))
-            and self.base.obj_eq(payload.cod, self.par(cod))
-        ):
-            raise CompositionError(f"{self.name}: payload endpoints do not parenthesize")
-        return Morphism(dom, cod, payload)
-
     def hom(self, o, p):
         base_hom = self.base.hom(self.par(o), self.par(p))
         if base_hom is None:
@@ -276,17 +271,7 @@ class TransportedModel:
     def mor_eq(self, f, g):
         return f.dom == g.dom and f.cod == g.cod and self.base.mor_eq(f.payload, g.payload)
 
-    def lunitor(self, o):
-        return self.identity(self._check_obj(o))
-
-    def lunitor_inv(self, o):
-        return self.identity(self._check_obj(o))
-
-    def runitor(self, o):
-        return self.identity(self._check_obj(o))
-
-    def runitor_inv(self, o):
-        return self.identity(self._check_obj(o))
+    lunitor = lunitor_inv = runitor = runitor_inv = identity
 
     def render_mor(self, f):
         return f"{self.render_obj(f.dom)}=>{self.render_obj(f.cod)}[{self.base.render_mor(f.payload)}]"
@@ -350,6 +335,11 @@ class NonStrictifiedModel(Construction, CategoryModel):
             return "(;1)"
         entries = ",".join(self.base.render_obj(x) for x in o.seq)
         return f"({entries};{render_term(o.shape)})"
+
+    def parse_obj(self, text):
+        """A term over base object ids: its leaves are the entries, its bracketing the shape."""
+        term = parse_term(text)
+        return QObject(tuple(self.base.parse_obj(label) for label in forget_parens(term)), collapse(term))
 
 
 def construction(cls: type, base: CategoryModel):
@@ -628,11 +618,7 @@ class RealisedTermCategory(TransportedModel, CategoryModel):
         return render_term(v)
 
     def parse_obj(self, text):
-        term = parse_term(text)
-        bad = [x for x in forget_parens(term) if x not in self.generators]
-        if bad:
-            raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
-        return term
+        return parse_generated_term(self, text)
 
 
 realise_tilde_q = RealisedTermCategory

@@ -43,7 +43,7 @@ from .nonstrictify import beta_q_inv as beta_inv
 from .nonstrictify import delta_q as delta
 from .nonstrictify import delta_q_inv as delta_inv
 from .nonstrictify import image_fold_q as image_fold
-from .terms import Leaf, MagmaTerm, Word, forget_parens, leaf_count, mag
+from .terms import Leaf, MagmaTerm, Word, forget_parens, leaf_count, mag, parse_word, render_word
 
 
 def par_seq(model: CategoryModel, s) -> object:
@@ -137,11 +137,10 @@ class StrictifiedModel(Construction, CategoryModel):
         return "(" + ",".join(self.base.render_obj(x) for x in s.seq) + ")"
 
     def parse_obj(self, text):
+        """Base objects separated by commas; "", "1" and "()" are the empty sequence."""
         text = text.strip()
         if text in ("", "()", "1"):
             return EMPTY_SEQ
-        if text.startswith("(") and text.endswith(")"):
-            text = text[1:-1]
         return StrObject(tuple(self.base.parse_obj(part.strip()) for part in text.split(",")))
 
 
@@ -258,16 +257,10 @@ class RealisedWordCategory(TransportedModel, CategoryModel):
         return Morphism(f.dom + g.dom, f.cod + g.cod, lifted.payload)
 
     def render_obj(self, w):
-        return ",".join(w) if w else "1"
+        return render_word(w)
 
     def parse_obj(self, text):
-        if text == "1":
-            return ()
-        word = tuple(text.split(","))
-        bad = [x for x in word if x not in self.generators]
-        if bad:
-            raise CompositionError(f"{self.name}: unknown generators {sorted(set(bad))}")
-        return word
+        return parse_word(self, text)
 
 
 realise_tilde_str = RealisedWordCategory

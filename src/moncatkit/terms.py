@@ -9,12 +9,19 @@ Terms are immutable values, compared by structure.  Each one carries its
 word, built with the term, so reading a term's word, leaf count or
 shape-ness walks no tree.  The module keeps no global state: nothing is
 interned or cached between calls.
+
+The object syntax of every model whose objects are words or terms over
+named generators is written here once: ``parse_word``/``render_word`` and
+``parse_generated_term``, which both reject labels outside the model's
+``generators``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from typing import Iterator
+
+from .core import CompositionError
 
 BULLET = "•"
 
@@ -237,6 +244,30 @@ def parse_term(text: str) -> MagmaTerm:
     if pos != len(tokens):
         raise TermSyntaxError("trailing input after term", tokens[pos][1])
     return term
+
+
+def _known_generators(owner, word: Word) -> Word:
+    """The word, if each label is one of ``owner.generators``; else a ``CompositionError``."""
+    bad = [lab for lab in word if lab not in owner.generators]
+    if bad:
+        raise CompositionError(f"{owner.name}: unknown generators {sorted(set(bad))}")
+    return word
+
+
+def parse_generated_term(owner, text: str) -> MagmaTerm:
+    """A term whose leaves are generators of ``owner`` (a model)."""
+    term = parse_term(text)
+    _known_generators(owner, term._word)
+    return term
+
+
+def parse_word(owner, text: str) -> Word:
+    """Word syntax: generators of ``owner`` separated by commas, "1" for the empty word."""
+    return () if text == "1" else _known_generators(owner, tuple(text.split(",")))
+
+
+def render_word(w: Word) -> str:
+    return ",".join(w) if w else "1"
 
 
 def shapes_with_leaves(n: int) -> list[MagmaTerm]:

@@ -118,6 +118,15 @@ class TestStrictifyCommand:
         code, out, _ = run_cli(capsys, "strictify", "trivial", "--left", "", "--right", "")
         assert code == 0
 
+    def test_parses_like_the_sequence_category(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "strictify", "thin3", "--left", "(x y),(z x)", "--right", "()"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["left"] == "((x y),(z x))" and payload["right"] == "()"
+        assert payload["par_left"] == "((x y) (z x))"
+
 
 class TestBadObjectIsUsageError:
     @pytest.mark.parametrize(

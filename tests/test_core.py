@@ -198,5 +198,20 @@ class TestFactors:
         composite = compose_factors(ns2, [factor, factor.inverted()], "A")
         assert ns2.mor_eq(composite, ns2.identity("A"))
 
+    def test_unknown_kind_is_value_error(self, ns2):
+        with pytest.raises(ValueError, match="unknown factor kind 'z'"):
+            interpret_factor(ns2, Factor("z", ("A",)))
+
+    @pytest.mark.parametrize("kind", ["a", "a_inv", "l", "l_inv", "r", "r_inv"])
+    def test_every_kind_inverts_and_renders(self, ns2, kind):
+        args = ("A", "I", "A") if kind.startswith("a") else ("A",)
+        factor = Factor(kind, args)
+        assert factor.inverted().inverted() == factor
+        composite = compose_factors(ns2, [factor, factor.inverted()], interpret_factor(ns2, factor).dom)
+        assert ns2.mor_eq(composite, ns2.identity(composite.dom))
+        text = render_factor(ns2, factor)
+        assert text[0] == {"a": "a", "l": "ℓ", "r": "r"}[kind[0]]
+        assert ("⁻¹(" in text) == kind.endswith("_inv")
+
     def test_empty_factor_list_is_identity(self, ns2):
         assert ns2.mor_eq(compose_factors(ns2, [], "A"), ns2.identity("A"))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from moncatkit.core import CompositionError, Morphism
-from moncatkit.fixtures import fixture_dir
+from moncatkit.fixtures import builtin_fixtures, fixture_dir
 from moncatkit.models import (
     CategorySpecError,
     FiniteTableCategory,
+    FreeMonoidThinModel,
     FreeThinModel,
     load_category,
     save_category,
@@ -151,6 +152,15 @@ class TestTableLookupErrors:
             with pytest.raises(CompositionError, match="undefined"):
                 call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ns2: ns2.identity(np.array([1])), lambda ns2: ns2.tensor_obj([1], "A")],
+        ids=["identity-array", "tensor_obj-list"],
+    )
+    def test_unhashable_objects_raise_composition_error(self, ns2, call):
+        with pytest.raises(CompositionError):
+            call(ns2)
+
     def test_known_arrows_still_compose(self, ns2):
         known = ns2.identity("A")
         assert ns2.mor_eq(ns2.compose(known, known), known)
@@ -207,6 +217,68 @@ class TestFreeThinModel:
     def test_parse_checks_generators(self, thin3):
         with pytest.raises(Exception):
             thin3.parse_obj("(x q)")
+
+
+X = Leaf("x")
+
+
+class TestThinModelsForeignArguments:
+    """Arguments that are not objects of a thin model fail with a named error."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.associator("a", X, X),
+            lambda m: m.associator_inv("a", X, X),
+            lambda m: m.tensor_mor(Morphism("a", "a", None), m.identity(X)),
+            lambda m: m.tensor_mor(m.identity(X), Morphism(X, "a", None)),
+        ],
+        ids=["associator", "associator_inv", "tensor_mor-dom", "tensor_mor-cod"],
+    )
+    def test_free_thin_model(self, call):
+        with pytest.raises(CompositionError, match="objects are magma terms"):
+            call(FreeThinModel(("x",), name="thin-x"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.hom(1, ("x",)),
+            lambda m: m.the(("x",), 3),
+            lambda m: m.tensor_mor(Morphism(1, 1, None), m.identity(("x",))),
+            lambda m: m.tensor_mor(m.identity(("x",)), Morphism([1], [1], None)),
+        ],
+        ids=["hom", "the", "tensor_mor-int", "tensor_mor-list"],
+    )
+    def test_free_monoid_thin_model(self, call):
+        with pytest.raises(CompositionError, match="objects are words"):
+            call(FreeMonoidThinModel(("x",), name="words-x"))
+
+    def test_empty_hom_messages_are_unchanged(self, thin3, words3):
+        with pytest.raises(CompositionError, match=r"no arrow \(x y\) -> \(y x\) \(words differ\)"):
+            thin3.the(X * Leaf("y"), Leaf("y") * X)
+        with pytest.raises(CompositionError, match=r"no arrow \('x',\) -> \(\) \(lengths differ\)"):
+            words3.the(("x",), ())
+
+
+class TestBuiltinUniverses:
+    """The fixtures' objects and arrows per model, pinned to the table they had as literals."""
+
+    LITERAL_OBJECTS = {"trivial": ["I"], "ns2": ["I", "A"], "mat7": [1, 2, 3]}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_objects_and_arrows_match_the_literal_table(self, seed):
+        fx = builtin_fixtures(seed=seed)
+        assert list(fx.models) == ["trivial", "ns2", "thin", "thin3", "words3", "mat7"]
+        for name, model in fx.models.items():
+            objects = self.LITERAL_OBJECTS.get(name) or model.enumerate_objects(2)
+            if name == "mat7":
+                arrows = model.sample_morphisms([1, 2], random.Random(seed), per_pair=2)
+            else:
+                arrows = [f for x in objects for y in objects for f in model.hom(x, y)]
+            assert fx.objects_for(model) == objects, name
+            got = fx.arrows_for(model)
+            assert len(got) == len(arrows), name
+            assert all(model.mor_eq(f, g) for f, g in zip(got, arrows)), name
 
 
 class TestFreeMonoidThinModel:

@@ -1,6 +1,7 @@
 import pytest
 
 from moncatkit.core import (
+    CompositionError,
     check_hexagon,
     check_monoidal_nat,
     check_naturality,
@@ -85,6 +86,18 @@ class TestParQ:
     def test_foreign_shape_rejected(self, entries, shape):
         with pytest.raises(ValueError, match="bullet term"):
             QObject(entries, shape)
+
+
+class TestParseObj:
+    def test_term_gives_entries_and_shape(self, ns2):
+        assert q_model(ns2).parse_obj("(A (I A))") == QObject(("A", "I", "A"), parse_term("(• (• •))"))
+
+    def test_unit_term_is_the_empty_object(self, ns2):
+        assert q_model(ns2).parse_obj("1") == EMPTY_Q
+
+    def test_foreign_entry_is_the_base_models_error(self, mat7):
+        with pytest.raises(CompositionError, match="objects are integers"):
+            q_model(mat7).parse_obj("(2 x)")
 
 
 class TestStarQ:

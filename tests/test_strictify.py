@@ -10,7 +10,7 @@ from moncatkit.core import (
     identity_functor,
     identity_nat,
 )
-from moncatkit.models import validate_category
+from moncatkit.models import CategorySpecError, validate_category
 from moncatkit.strictify import (
     EMPTY_SEQ,
     StrObject,
@@ -113,6 +113,31 @@ class TestTheta:
                 star = star_arrows(ns2, f, g)
                 rhs = ns2.compose(star.payload, theta(ns2, f.dom, g.dom))
                 assert ns2.mor_eq(lhs, rhs)
+
+
+class TestParseObj:
+    """Sequence syntax: comma-separated base objects, with no outer brackets."""
+
+    def test_bracketed_term_is_one_entry(self, thin3):
+        assert str_model(thin3).parse_obj("(x y)") == StrObject((parse_term("(x y)"),))
+
+    def test_commas_separate_entries(self, thin3):
+        assert str_model(thin3).parse_obj("(x y),(z x)") == StrObject(
+            (parse_term("(x y)"), parse_term("(z x)"))
+        )
+
+    def test_outer_brackets_are_not_stripped(self, ns2):
+        with pytest.raises(CategorySpecError, match="'\\(A'"):
+            str_model(ns2).parse_obj("(A,I)")
+
+    @pytest.mark.parametrize("text", ["", " ", "1", "()"])
+    def test_empty_sequence(self, ns2, text):
+        assert str_model(ns2).parse_obj(text) == EMPTY_SEQ
+
+    def test_render_round_trip(self, ns2):
+        wrapped = str_model(ns2)
+        assert wrapped.render_obj(wrapped.parse_obj("A, I")) == "(A,I)"
+        assert wrapped.render_obj(wrapped.parse_obj("")) == "()"
 
 
 class TestStarObjects:
