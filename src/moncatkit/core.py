@@ -444,6 +444,11 @@ class Factor:
         return Factor(_FACTOR_KINDS[self.kind][0], self.args, self.wraps)
 
 
+def invert_factors(factors: Sequence[Factor]) -> list[Factor]:
+    """The factor list of the inverse arrow: each factor inverted, in reverse order."""
+    return [factor.inverted() for factor in reversed(factors)]
+
+
 def interpret_factor(model: CategoryModel, factor: Factor) -> Morphism:
     try:
         method = _FACTOR_KINDS[factor.kind][2]

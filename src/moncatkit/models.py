@@ -247,9 +247,12 @@ class FiniteTableCategory(CategoryModel):
         return self._mor(mid)
 
     def _structural(self, table: dict, key, fallback_obj):
-        if self.is_strict and key not in table:
-            return self.identity(fallback_obj)
-        return self._mor(table[key])
+        try:
+            if self.is_strict and key not in table:
+                return self.identity(fallback_obj)
+            return self._mor(table[key])
+        except (KeyError, TypeError) as exc:
+            raise CompositionError(f"structural arrow undefined at {key!r}") from exc
 
     def associator(self, x, y, z):
         return self._structural(self._assoc, (x, y, z), self.tensor_obj(self.tensor_obj(x, y), z))
@@ -461,10 +464,7 @@ class FreeMonoidThinModel(ThinStructure, CategoryModel):
         return w
 
     def hom(self, v, w):
-        try:
-            same_length = len(v) == len(w)
-        except TypeError:
-            raise self._foreign(v, w) from None
+        same_length = len(self._check_obj(v)) == len(self._check_obj(w))
         return [Morphism(v, w, None)] if same_length else []
 
     @property
@@ -475,10 +475,7 @@ class FreeMonoidThinModel(ThinStructure, CategoryModel):
         return self._check_obj(v) + self._check_obj(w)
 
     def tensor_mor(self, f, g):
-        try:
-            return Morphism(f.dom + g.dom, f.cod + g.cod, None)
-        except TypeError:
-            raise self._foreign(f.dom, f.cod, g.dom, g.cod) from None
+        return Morphism(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), None)
 
     def enumerate_objects(self, max_len: int) -> list[Word]:
         out: list[Word] = []

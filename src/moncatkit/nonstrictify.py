@@ -3,16 +3,15 @@
 Both constructions take as objects finite sequences of ambient objects with
 a bracketing, and transport arrows along the bracketed product ``Par``.  A
 ``QObject`` carries its bracketing as a shape; a ``StrObject`` is always
-bracketed as the left comb, so ``C^str`` is ``C_q`` on left combs.  The one
-decision that differs is how an object folds, and everything else is
-written once here against that fold: the transported categories, the
-embeddings, ``beta``, the lifts and the 2-functor maps.  The tensors stay
-apart: ``strictify.py`` concatenates and conjugates by ``theta``, while
-here concatenating sequences and pairing shapes is strictly unital but
-only associative up to the transported associator ``assoc_q``, so ``C_q``
-is non-strict even over a strict base.  Each construction owns its object
-syntax (``parse_obj``): a shaped sequence is written as a term over base
-object ids, a sequence as comma-separated ids.
+bracketed as the left comb, so ``C^str`` is ``C_q`` on left combs.  How an
+object folds and how two objects ``join`` differ; everything else is
+written once here, the tensor included: the base tensor conjugated by the
+structural arrow from the pair of the two shapes to the shape of the join
+(``theta`` for sequences, nothing or a unitor for shaped sequences).  That
+arrow, like ``theta``, ``rho`` and ``coherence``, comes from one engine,
+``comb_factors``.  Pairing shapes is only associative up to ``assoc_q``, so
+``C_q`` is non-strict even over a strict base.  Each construction owns its
+object syntax (``parse_obj``).
 """
 
 from __future__ import annotations
@@ -21,14 +20,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CategoryModel,
     CompositionError,
+    Factor,
     MonFunctorData,
     Morphism,
     NatTransData,
+    interpret_factor,
+    invert_factors,
     strict_functor,
 )
 from .terms import (
@@ -63,6 +65,14 @@ class StrObject:
     @classmethod
     def comb(cls, entries: tuple) -> "StrObject":
         return cls(entries)
+
+    @property
+    def shape(self) -> MagmaTerm:
+        return left_comb(len(self.seq))
+
+    def join(self, other: "StrObject") -> "StrObject":
+        """Concatenation, bracketed as the left comb again."""
+        return StrObject(self.seq + other.seq)
 
     def map_entries(self, fn) -> "StrObject":
         return StrObject(tuple(map(fn, self.seq)))
@@ -103,13 +113,14 @@ class QObject:
                 f"shape with {leaf_count(self.shape)} leaves does not fit {len(self.seq)} entries"
             )
 
-    def __len__(self):
-        return len(self.seq)
-
     @classmethod
     def comb(cls, entries: tuple) -> "QObject":
         """The entries on the left comb: the shaped twin of ``StrObject(entries)``."""
         return cls(entries, _left_comb(len(entries)))
+
+    def join(self, other: "QObject") -> "QObject":
+        """Concatenation, shaped by the pair of the two shapes."""
+        return QObject(self.seq + other.seq, mag(self.shape, other.shape))
 
     def map_entries(self, fn) -> "QObject":
         return QObject(tuple(map(fn, self.seq)), self.shape)
@@ -141,44 +152,77 @@ def par_q(model: CategoryModel, o):
     return o.fold(model.tensor_obj) if o.seq else model.unit_obj
 
 
-def star_q_objects(o: QObject, p: QObject) -> QObject:
-    return QObject(o.seq + p.seq, mag(o.shape, p.shape))
+star_q_objects = QObject.join
 
 
-def _iota(model: CategoryModel, o: QObject, p: QObject) -> Morphism:
-    """Par(o*p) -> Par(o) (x) Par(p); a unitor inverse when a factor is empty."""
-    if o.seq and p.seq:
-        return model.identity(model.tensor_obj(par_q(model, o), par_q(model, p)))
-    if not o.seq:
-        return model.lunitor_inv(par_q(model, p))
-    return model.runitor_inv(par_q(model, o))
+# -- the structural arrow between two bracketings ----------------------------------
 
 
-def _iota_inv(model: CategoryModel, o: QObject, p: QObject) -> Morphism:
-    if o.seq and p.seq:
-        return model.identity(model.tensor_obj(par_q(model, o), par_q(model, p)))
-    if not o.seq:
-        return model.lunitor(par_q(model, p))
-    return model.runitor(par_q(model, o))
+def comb_factors(model: CategoryModel, shape: MagmaTerm, entries: tuple) -> list[Factor]:
+    """Structural factors from the entries bracketed by ``shape`` to their left comb.
 
-
-def star_q_arrows(model: CategoryModel, f: Morphism, g: Morphism) -> Morphism:
-    """Concatenation of shaped arrows.
-
-    For nonempty factors the payload is the plain ambient tensor, which is
-    well-typed because parenthesization splits along the top shape pair.
-    When a factor is the empty object the concatenation absorbs it, so the
-    tensor is conjugated by the matching unitor to stay well-typed.
+    At each pair both halves go to their combs first (the left one padded on
+    the right by the right half's product, the right one padded on the left
+    by the left comb), then one ``a_inv`` per right-half entry after the
+    first, last entry first, moves the right comb onto the left one.  Each
+    subtree passes up its product along the shape and the products of its
+    comb's prefixes, so no product is folded twice.
     """
-    dom = star_q_objects(f.dom, g.dom)
-    cod = star_q_objects(f.cod, g.cod)
-    if f.dom.seq and g.dom.seq and f.cod.seq and g.cod.seq:
-        return Morphism(dom, cod, model.tensor_mor(f.payload, g.payload))
-    payload = model.compose(
-        _iota_inv(model, f.cod, g.cod),
-        model.compose(model.tensor_mor(f.payload, g.payload), _iota(model, f.dom, g.dom)),
-    )
-    return Morphism(dom, cod, payload)
+    tensor = model.tensor_obj
+    factors: list[Factor] = []
+
+    def go(node: MagmaTerm, offset: int):
+        if isinstance(node, Leaf):
+            return entries[offset], [entries[offset]]
+        start = len(factors)
+        left, combs = go(node.left, offset)
+        middle, offset = len(factors), offset + len(combs)
+        right, right_combs = go(node.right, offset)
+        done, rest = combs[-1], entries[offset : offset + len(right_combs)]
+        factors[start:middle] = [factor.wrap_right(right) for factor in factors[start:middle]]
+        factors[middle:] = [factor.wrap_left(done) for factor in factors[middle:]]
+        wraps: tuple = ()
+        for j in range(len(rest) - 1, 0, -1):
+            factors.append(Factor("a_inv", (done, right_combs[j - 1], rest[j]), wraps))
+            wraps = (("R", rest[j]),) + wraps
+        for x in rest:
+            combs.append(tensor(combs[-1], x))
+        return tensor(left, right), combs
+
+    if len(entries) > 1:
+        go(shape, 0)
+    return factors
+
+
+def shape_factors(model: CategoryModel, entries: tuple, source: MagmaTerm, target: MagmaTerm) -> list[Factor]:
+    """The structural arrow between two bracketings of the same entries, through their left comb."""
+    if source == target:
+        return []
+    return comb_factors(model, source, entries) + invert_factors(comb_factors(model, target, entries))
+
+
+def join_factors(model: CategoryModel, o, p) -> list[Factor]:
+    """Structural factors Par(o) (x) Par(p) -> Par(o.join(p)); a unitor when a side is empty."""
+    o, p = _as_obj(o), _as_obj(p)
+    if not o.seq:
+        return [Factor("l", (par_q(model, p),))]
+    if not p.seq:
+        return [Factor("r", (par_q(model, o),))]
+    joined = o.join(p)
+    return shape_factors(model, joined.seq, mag(o.shape, p.shape), joined.shape)
+
+
+def star_arrows(model: CategoryModel, f: Morphism, g: Morphism) -> Morphism:
+    """Tensor of arrows in either construction: the base tensor conjugated by the join arrows."""
+    payload = model.tensor_mor(f.payload, g.payload)
+    for factor in join_factors(model, f.dom, g.dom):
+        payload = model.compose(payload, interpret_factor(model, factor.inverted()))
+    for factor in join_factors(model, f.cod, g.cod):
+        payload = model.compose(interpret_factor(model, factor), payload)
+    return Morphism(f.dom.join(g.dom), f.cod.join(g.cod), payload)
+
+
+star_q_arrows = star_arrows
 
 
 def assoc_q(model: CategoryModel, o: QObject, p: QObject, q: QObject) -> Morphism:
@@ -232,11 +276,11 @@ class TransportedModel:
     """A category whose arrows are base arrows between the images of ``par``.
 
     Subclasses pair this mixin with ``CategoryModel`` and supply the object
-    type and the monoidal structure; ``par`` folds the object, and the
-    realisations first spell their objects as sequences.  A mixin, so that
-    bench/tracer.py times each method once, under the concrete class.  All
-    four transported categories have identity unitors; the two constructions
-    extend it as ``Construction``.
+    type and the monoidal structure; ``par`` folds the object.  A mixin, so
+    that bench/tracer.py times each method once, under the concrete class.
+    All four transported categories have identity unitors; the two
+    constructions extend it as ``Construction``, the two realisations as
+    ``Realisation``.
     """
 
     obj_type: type
@@ -278,7 +322,7 @@ class TransportedModel:
 
 
 class Construction(TransportedModel):
-    """``C^str`` or ``C_q``: the embedding and its coherence arrows at left-comb objects.
+    """``C^str`` or ``C_q``: the tensor, and the embedding with its coherence arrows.
 
     Subclasses also set ``tag`` (law reports), ``induced_suffix``,
     ``lift_suffix`` and ``embed_name`` (names of what the construction
@@ -305,6 +349,12 @@ class Construction(TransportedModel):
         """The empty object -> embed(I): the embedding's unit arrow."""
         return delta_q(model, cls.obj_type.comb(()))
 
+    def tensor_obj(self, o, p):
+        return self._check_obj(o).join(self._check_obj(p))
+
+    def tensor_mor(self, f, g):
+        return star_arrows(self.base, f, g)
+
 
 class NonStrictifiedModel(Construction, CategoryModel):
     """Shaped sequences over a base model; never strict for nonempty shapes."""
@@ -317,12 +367,6 @@ class NonStrictifiedModel(Construction, CategoryModel):
     @property
     def unit_obj(self) -> QObject:
         return EMPTY_Q
-
-    def tensor_obj(self, o, p):
-        return star_q_objects(self._check_obj(o), self._check_obj(p))
-
-    def tensor_mor(self, f, g):
-        return star_q_arrows(self.base, f, g)
 
     def associator(self, o, p, q):
         return assoc_q(self.base, o, p, q)
@@ -381,9 +425,8 @@ def delta_q(model: CategoryModel, o) -> Morphism:
 
 
 def delta_q_inv(model: CategoryModel, o) -> Morphism:
-    o = _as_obj(o)
-    par = par_q(model, o)
-    return Morphism(type(o).comb((par,)), o, model.identity(par))
+    arrow = delta_q(model, o)
+    return Morphism(arrow.cod, arrow.dom, arrow.payload)
 
 
 def embedding(cls: type, model: CategoryModel) -> MonFunctorData:
@@ -567,29 +610,50 @@ def seq_q(term: MagmaTerm) -> QObject:
     return QObject(tuple((x,) for x in forget_parens(term)), collapse(term))
 
 
-def sequencing(realised, target, to_seq, name: str) -> MonFunctorData:
+class Realisation(TransportedModel):
+    """A free model whose objects ``spell`` objects of a construction over the base.
+
+    Arrows, and their tensor, are the construction's at the spelled objects.
+    """
+
+    spell: Callable
+    free: tuple  # (letter, product, kind) for free_generators
+
+    def __init__(self, base: CategoryModel):
+        self.generators = free_generators(base, *self.free)
+        super().__init__(base)
+
+    def par(self, v):
+        return par_q(self.base, self.spell(self._check_obj(v)))
+
+    def tensor_mor(self, f, g):
+        spell = self.spell
+        lifted = star_arrows(
+            self.base,
+            Morphism(spell(f.dom), spell(f.cod), f.payload),
+            Morphism(spell(g.dom), spell(g.cod), g.payload),
+        )
+        return Morphism(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), lifted.payload)
+
+
+def sequencing(realised: Realisation, target, name: str) -> MonFunctorData:
     """Sequencing as a strict monoidal functor from a realisation into its construction."""
+    spell = realised.spell
     return strict_functor(
         realised,
         target,
-        to_seq,
-        lambda f: Morphism(to_seq(f.dom), to_seq(f.cod), f.payload),
+        spell,
+        lambda f: Morphism(spell(f.dom), spell(f.cod), f.payload),
         name,
     )
 
 
-class RealisedTermCategory(TransportedModel, CategoryModel):
+class RealisedTermCategory(Realisation, CategoryModel):
     """Free-magma objects over a word-object model, homs through shaped sequencing."""
 
     is_strict = False
     obj_type, obj_kind, suffix = MagmaTerm, "magma terms", "~terms"
-
-    def __init__(self, base: CategoryModel):
-        self.generators = free_generators(base, lambda x: (x,), add, "word")
-        super().__init__(base)
-
-    def par(self, v):
-        return par_q(self.base, seq_q(self._check_obj(v)))
+    spell, free = staticmethod(seq_q), (lambda x: (x,), add, "word")
 
     @property
     def unit_obj(self) -> MagmaTerm:
@@ -597,14 +661,6 @@ class RealisedTermCategory(TransportedModel, CategoryModel):
 
     def tensor_obj(self, v, w):
         return mag(self._check_obj(v), self._check_obj(w))
-
-    def tensor_mor(self, f, g):
-        lifted = star_q_arrows(
-            self.base,
-            Morphism(seq_q(f.dom), seq_q(f.cod), f.payload),
-            Morphism(seq_q(g.dom), seq_q(g.cod), g.payload),
-        )
-        return Morphism(mag(f.dom, g.dom), mag(f.cod, g.cod), lifted.payload)
 
     def associator(self, u, v, w):
         lifted = assoc_q(self.base, seq_q(u), seq_q(v), seq_q(w))
@@ -626,4 +682,4 @@ realise_tilde_q = RealisedTermCategory
 
 def seq_term_functor(model: CategoryModel) -> MonFunctorData:
     """Shaped sequencing as a strict monoidal functor from the term realisation."""
-    return sequencing(RealisedTermCategory(model), q_model(model), seq_q, f"SeqQ[{model.name}]")
+    return sequencing(RealisedTermCategory(model), q_model(model), f"SeqQ[{model.name}]")

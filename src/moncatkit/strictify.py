@@ -2,11 +2,13 @@
 
 Objects here are finite sequences of ambient objects; an arrow between two
 sequences is exactly an ambient arrow between their left-nested products.
-A sequence is a shaped sequence on the left comb, so everything but the
-tensor is the construction core in ``nonstrictify.py``, and the names here
-are its strict instances.  Concatenation makes the result a strict monoidal
-category; the coherence arrow ``theta`` mediates between the product of two
-parenthesizations and the parenthesization of the concatenation.
+A sequence is a shaped sequence on the left comb, so everything, the tensor
+included, is the construction core in ``nonstrictify.py``, and the names
+here are its strict instances.  Concatenation makes the result a strict
+monoidal category; the coherence arrow ``theta`` mediates between the
+product of two parenthesizations and the parenthesization of the
+concatenation.  It, ``rho`` and ``coherence`` are instances of the core's
+one structural-arrow engine.
 """
 
 from __future__ import annotations
@@ -21,29 +23,33 @@ from .core import (
     Morphism,
     NatTransData,
     compose_factors,
+    invert_factors,
 )
 from .nonstrictify import (
     EMPTY_SEQ,
     Construction,
+    Realisation,
     StrObject,
-    TransportedModel,
     _as_obj,
+    comb_factors,
     construction,
     embedding,
-    free_generators,
     induced_functor,
     induced_nat,
+    join_factors,
     lift,
     lift_nat,
     par_q,
     sequencing,
+    shape_factors,
+    star_arrows,
 )
 from .nonstrictify import beta_q as beta
 from .nonstrictify import beta_q_inv as beta_inv
 from .nonstrictify import delta_q as delta
 from .nonstrictify import delta_q_inv as delta_inv
 from .nonstrictify import image_fold_q as image_fold
-from .terms import Leaf, MagmaTerm, Word, forget_parens, leaf_count, mag, parse_word, render_word
+from .terms import Leaf, MagmaTerm, Word, forget_parens, mag, parse_entries, parse_word, render_word
 
 
 def par_seq(model: CategoryModel, s) -> object:
@@ -52,7 +58,7 @@ def par_seq(model: CategoryModel, s) -> object:
 
 
 def star_objects(s, t) -> StrObject:
-    return StrObject(_as_obj(s).seq + _as_obj(t).seq)
+    return _as_obj(s).join(_as_obj(t))
 
 
 def seqs_over(objects: Sequence, max_len: int) -> list[StrObject]:
@@ -68,24 +74,9 @@ def seqs_over(objects: Sequence, max_len: int) -> list[StrObject]:
 # -- the coherence arrow theta -------------------------------------------------
 
 
-def theta_factors(model: CategoryModel, s, t) -> list[Factor]:
-    """Structural factor list for Par(s) (x) Par(t) -> Par(s*t).
-
-    Recursion peels the last entry of the second sequence; the base cases
-    are the left unitor (empty first argument), the right unitor (empty
-    second argument) and the identity (one entry on the right).
-    """
-    s, t = _as_obj(s), _as_obj(t)
-    if not s.seq:
-        return [Factor("l", (par_seq(model, t),))]
-    if not t.seq:
-        return [Factor("r", (par_seq(model, s),))]
-    if len(t) == 1:
-        return []
-    front, last = StrObject(t.seq[:-1]), t.seq[-1]
-    inner = theta_factors(model, s, front)
-    step = Factor("a_inv", (par_seq(model, s), par_seq(model, front), last))
-    return [step] + [factor.wrap_right(last) for factor in inner]
+# Par(s) (x) Par(t) -> Par(s*t): a unitor when a side is empty, else the arrow
+# from the pair of the two left combs to the left comb of the concatenation.
+theta_factors = join_factors
 
 
 def theta(model: CategoryModel, s, t) -> Morphism:
@@ -95,19 +86,7 @@ def theta(model: CategoryModel, s, t) -> Morphism:
 
 def theta_inv(model: CategoryModel, s, t) -> Morphism:
     dom = par_seq(model, star_objects(s, t))
-    factors = [factor.inverted() for factor in reversed(theta_factors(model, s, t))]
-    return compose_factors(model, factors, dom)
-
-
-def star_arrows(model: CategoryModel, f: Morphism, g: Morphism) -> Morphism:
-    """Concatenation of sequence arrows, via conjugation by theta."""
-    s1, t1 = f.dom, g.dom
-    s2, t2 = f.cod, g.cod
-    payload = model.compose(
-        theta(model, s2, t2),
-        model.compose(model.tensor_mor(f.payload, g.payload), theta_inv(model, s1, t1)),
-    )
-    return Morphism(star_objects(s1, t1), star_objects(s2, t2), payload)
+    return compose_factors(model, invert_factors(theta_factors(model, s, t)), dom)
 
 
 # -- the strict sequence category ------------------------------------------------
@@ -125,12 +104,6 @@ class StrictifiedModel(Construction, CategoryModel):
     def unit_obj(self):
         return EMPTY_SEQ
 
-    def tensor_obj(self, s, t):
-        return star_objects(self._check_obj(s), self._check_obj(t))
-
-    def tensor_mor(self, f, g):
-        return star_arrows(self.base, f, g)
-
     def render_obj(self, s):
         if not s.seq:
             return "()"
@@ -138,10 +111,9 @@ class StrictifiedModel(Construction, CategoryModel):
 
     def parse_obj(self, text):
         """Base objects separated by commas; "", "1" and "()" are the empty sequence."""
-        text = text.strip()
-        if text in ("", "()", "1"):
+        if text.strip() in ("", "()", "1"):
             return EMPTY_SEQ
-        return StrObject(tuple(self.base.parse_obj(part.strip()) for part in text.split(",")))
+        return StrObject(parse_entries(self.base.parse_obj, text))
 
 
 def str_model(base: CategoryModel) -> StrictifiedModel:
@@ -195,19 +167,8 @@ def seq_word(word: Word) -> StrObject:
 
 
 def rho_factors(model: CategoryModel, term: MagmaTerm) -> list[Factor]:
-    """Structural factors taking a term to the product of its left-nested word.
-
-    Identity on the unit and on single generators; otherwise recurse into
-    both halves and finish with a theta step on the underlying sequences.
-    """
-    if leaf_count(term) <= 1:
-        return []
-    left, right = term.left, term.right
-    left_done = par_seq(model, seq_word(forget_parens(left)))
-    factors = [factor.wrap_right(right) for factor in rho_factors(model, left)]
-    factors += [factor.wrap_left(left_done) for factor in rho_factors(model, right)]
-    factors += theta_factors(model, seq_word(forget_parens(left)), seq_word(forget_parens(right)))
-    return factors
+    """Structural factors taking a term to the product of its left-nested word."""
+    return comb_factors(model, term, seq_word(forget_parens(term)).seq)
 
 
 def rho(model: CategoryModel, term: MagmaTerm) -> Morphism:
@@ -216,30 +177,21 @@ def rho(model: CategoryModel, term: MagmaTerm) -> Morphism:
 
 def coherence_factors(model: CategoryModel, source: MagmaTerm, target: MagmaTerm) -> list[Factor]:
     """A structural factor list source -> target, through the left-nested normal form."""
-    if forget_parens(source) != forget_parens(target):
+    word = forget_parens(source)
+    if word != forget_parens(target):
         raise CompositionError(
             "no structural arrow: the terms spell different words "
-            f"({','.join(forget_parens(source)) or '1'} vs {','.join(forget_parens(target)) or '1'})"
+            f"({','.join(word) or '1'} vs {','.join(forget_parens(target)) or '1'})"
         )
-    if source == target:
-        return []
-    down = rho_factors(model, source)
-    up = [factor.inverted() for factor in reversed(rho_factors(model, target))]
-    return down + up
+    return shape_factors(model, seq_word(word).seq, source, target)
 
 
-class RealisedWordCategory(TransportedModel, CategoryModel):
+class RealisedWordCategory(Realisation, CategoryModel):
     """Free-monoid objects over a magma-object model, homs through sequencing."""
 
     is_strict = True
     obj_type, obj_kind, suffix = tuple, "words", "~words"
-
-    def __init__(self, base: CategoryModel):
-        self.generators = free_generators(base, Leaf, mag, "magma-term")
-        super().__init__(base)
-
-    def par(self, w):
-        return par_seq(self.base, seq_word(self._check_obj(w)))
+    spell, free = staticmethod(seq_word), (Leaf, mag, "magma-term")
 
     @property
     def unit_obj(self) -> Word:
@@ -247,14 +199,6 @@ class RealisedWordCategory(TransportedModel, CategoryModel):
 
     def tensor_obj(self, v, w):
         return self._check_obj(v) + self._check_obj(w)
-
-    def tensor_mor(self, f, g):
-        lifted = star_arrows(
-            self.base,
-            Morphism(seq_word(f.dom), seq_word(f.cod), f.payload),
-            Morphism(seq_word(g.dom), seq_word(g.cod), g.payload),
-        )
-        return Morphism(f.dom + g.dom, f.cod + g.cod, lifted.payload)
 
     def render_obj(self, w):
         return render_word(w)
@@ -268,4 +212,4 @@ realise_tilde_str = RealisedWordCategory
 
 def seq_word_functor(model: CategoryModel) -> MonFunctorData:
     """Sequencing as a strict monoidal functor from the word realisation."""
-    return sequencing(RealisedWordCategory(model), str_model(model), seq_word, f"Seq[{model.name}]")
+    return sequencing(RealisedWordCategory(model), str_model(model), f"Seq[{model.name}]")

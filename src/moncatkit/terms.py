@@ -13,7 +13,8 @@ interned or cached between calls.
 The object syntax of every model whose objects are words or terms over
 named generators is written here once: ``parse_word``/``render_word`` and
 ``parse_generated_term``, which both reject labels outside the model's
-``generators``.
+``generators``; ``parse_entries`` reads comma-separated entries (the
+sequence syntax) and counts a syntax error's position in the whole text.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class TermSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -264,6 +266,21 @@ def parse_generated_term(owner, text: str) -> MagmaTerm:
 def parse_word(owner, text: str) -> Word:
     """Word syntax: generators of ``owner`` separated by commas, "1" for the empty word."""
     return () if text == "1" else _known_generators(owner, tuple(text.split(",")))
+
+
+def parse_entries(parse, text: str) -> tuple:
+    """Comma-separated entries, each stripped and read by ``parse``.
+
+    A syntax error in an entry reports its position within the whole text.
+    """
+    entries, offset = [], 0
+    for part in text.split(","):
+        try:
+            entries.append(parse(part.strip()))
+        except TermSyntaxError as exc:
+            raise TermSyntaxError(exc.message, offset + len(part) - len(part.lstrip()) + exc.position) from None
+        offset += len(part) + 1
+    return tuple(entries)
 
 
 def render_word(w: Word) -> str:

@@ -127,6 +127,16 @@ class TestStrictifyCommand:
         assert payload["left"] == "((x y),(z x))" and payload["right"] == "()"
         assert payload["par_left"] == "((x y) (z x))"
 
+    @pytest.mark.parametrize(
+        "text, position", [("x,(y", 4), ("x, (y z", 7), (" (x", 3), ("(y", 2)]
+    )
+    @pytest.mark.parametrize("side", ["--left", "--right"])
+    def test_syntax_error_position_counts_within_the_argument(self, capsys, side, text, position):
+        code, out, err = run_cli(capsys, "strictify", "thin3", side, text)
+        assert code == 2 and out == ""
+        assert err.strip().endswith(f"(at position {position})")
+        assert repr(text) in err
+
 
 class TestBadObjectIsUsageError:
     @pytest.mark.parametrize(

@@ -161,6 +161,11 @@ class TestTableLookupErrors:
         with pytest.raises(CompositionError):
             call(ns2)
 
+    @pytest.mark.parametrize("method", ["lunitor", "runitor", "lunitor_inv", "runitor_inv"])
+    def test_unhashable_objects_in_unitors_raise_composition_error(self, ns2, method):
+        with pytest.raises(CompositionError, match="undefined"):
+            getattr(ns2, method)([1])
+
     def test_known_arrows_still_compose(self, ns2):
         known = ns2.identity("A")
         assert ns2.mor_eq(ns2.compose(known, known), known)
@@ -252,6 +257,20 @@ class TestThinModelsForeignArguments:
     def test_free_monoid_thin_model(self, call):
         with pytest.raises(CompositionError, match="objects are words"):
             call(FreeMonoidThinModel(("x",), name="words-x"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.hom("ab", "cd"),
+            lambda m: m.the("ab", "cd"),
+            lambda m: m.tensor_mor(Morphism("a", "a", None), Morphism("b", "b", None)),
+            lambda m: m.tensor_mor(m.identity(("x",)), Morphism("b", "b", None)),
+        ],
+        ids=["hom", "the", "tensor_mor-both", "tensor_mor-right"],
+    )
+    def test_strings_are_not_words(self, words3, call):
+        with pytest.raises(CompositionError, match="objects are words"):
+            call(words3)
 
     def test_empty_hom_messages_are_unchanged(self, thin3, words3):
         with pytest.raises(CompositionError, match=r"no arrow \(x y\) -> \(y x\) \(words differ\)"):

@@ -17,6 +17,7 @@ from moncatkit.terms import (
     leaf_count,
     left_comb,
     mag,
+    parse_entries,
     parse_term,
     render_term,
     shapes_with_leaves,
@@ -136,6 +137,18 @@ class TestGrammar:
         with pytest.raises(TermSyntaxError) as err:
             parse_term(bad)
         assert err.value.position == pos
+
+    @pytest.mark.parametrize(
+        "text, pos", [("x,(y", 4), ("x, (y z", 7), (" x ,  (x", 8), ("(x y)),z", 5), ("x,", 2)]
+    )
+    def test_entry_errors_count_within_the_whole_text(self, text, pos):
+        with pytest.raises(TermSyntaxError) as err:
+            parse_entries(parse_term, text)
+        assert err.value.position == pos
+        assert str(err.value).endswith(f"(at position {pos})")
+
+    def test_entries_are_stripped(self):
+        assert parse_entries(parse_term, " x , (y z)") == (Leaf("x"), parse_term("(y z)"))
 
     def test_unit_below_pair_rejected(self):
         with pytest.raises(ValueError):
