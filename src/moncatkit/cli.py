@@ -232,6 +232,14 @@ def cmd_check(args) -> int:
     return _report_exit(report, args.format)
 
 
+def bound(text: str) -> int:
+    """A universe bound: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moncat",
@@ -241,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fixtures", help=f"fixture directory (default: ${FIXTURE_ENV} or packaged)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed, echoed in reports")
-    parser.add_argument("--max-leaves", type=int, default=5, help="leaf bound for term universes")
-    parser.add_argument("--max-seq-len", type=int, default=2, help="length bound for sequence universes")
+    parser.add_argument("--max-leaves", type=bound, default=5, help="leaf bound for term universes")
+    parser.add_argument("--max-seq-len", type=bound, default=2, help="length bound for sequence universes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the category and monoidal axioms of a model")
@@ -278,10 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, at import, so that a long-lived caller neither
+# rebuilds it per call nor keeps it among the allocations of its first call.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,4 +1,9 @@
-"""Cross-cutting law drivers: 2-functor equations and adjunction round trips.
+"""Law instances and the drivers that check them.
+
+``LawReport.check`` counts one law instance and records it only if it fails,
+and ``draws`` gives a family's full product or seeded draws from it; every
+driver (``models.validate_category``, the comparisons and the suites below)
+counts, draws and records through these two.
 
 Each suite walks a fixture bundle and produces a ``LawReport``.  Reports are
 deterministic for a fixed bundle and seed; the JSON form is byte-stable so
@@ -7,7 +12,9 @@ CI runs can be diffed directly.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -61,6 +68,21 @@ class LawReport:
     def record_failure(self, law: str, instance: str, lhs: str, rhs: str):
         self.failures.append(LawFailure(law, instance, lhs, rhs))
 
+    def check(self, law: str, holds: bool, instance, lhs, rhs, render):
+        """Count one instance of ``law``, and record it if it does not hold.
+
+        Only a failure is rendered: ``instance`` is text or a thunk giving
+        text, and ``lhs``/``rhs`` are text or values passed to ``render``.
+        """
+        self.universe_size += 1
+        if not holds:
+            self.record_failure(
+                law,
+                instance if isinstance(instance, str) else instance(),
+                lhs if isinstance(lhs, str) else render(lhs),
+                rhs if isinstance(rhs, str) else render(rhs),
+            )
+
     def to_dict(self) -> dict:
         return {
             "law": self.law,
@@ -86,6 +108,17 @@ class LawReport:
         return "\n".join(lines)
 
 
+def draws(rng, budget: int, *pools):
+    """The product of ``pools`` when it has at most ``budget`` tuples, else ``budget`` seeded draws from it.
+
+    A draw takes one entry from each pool in turn, so a fixed seed fixes
+    the draws and hence the report.
+    """
+    if math.prod(map(len, pools)) <= budget:
+        return itertools.product(*pools)
+    return (tuple(map(rng.choice, pools)) for _ in range(budget))
+
+
 # -- comparison helpers -------------------------------------------------------
 
 
@@ -96,38 +129,21 @@ def compare_functors(
     right: MonFunctorData,
     objects: list,
     arrows: list,
-    coherence_pairs: list | None = None,
     ambient: CategoryModel | None = None,
 ):
     """Record any componentwise disagreement of two parallel functors."""
     d = ambient or left.target
-    ro = d.render_obj
+    check, src, rm = report.check, left.source, d.render_mor
     for x in objects:
-        report.count()
-        if not d.obj_eq(left.obj_map(x), right.obj_map(x)):
-            report.record_failure(law, f"object {left.source.render_obj(x)}",
-                                  ro(left.obj_map(x)), ro(right.obj_map(x)))
+        lx, rx = left.obj_map(x), right.obj_map(x)
+        check(law, d.obj_eq(lx, rx), lambda: f"object {src.render_obj(x)}", lx, rx, d.render_obj)
     for f in arrows:
-        report.count()
         lf, rf = left.mor_map(f), right.mor_map(f)
-        if not d.mor_eq(lf, rf):
-            report.record_failure(law, f"arrow {left.source.render_mor(f)}",
-                                  d.render_mor(lf), d.render_mor(rf))
-    if coherence_pairs is None:
-        coherence_pairs = [(x, y) for x in objects for y in objects]
-    for x, y in coherence_pairs:
-        report.count()
+        check(law, d.mor_eq(lf, rf), lambda: f"arrow {src.render_mor(f)}", lf, rf, rm)
+    for x, y in itertools.product(objects, objects):
         lg, rg = left.gamma(x, y), right.gamma(x, y)
-        if not d.mor_eq(lg, rg):
-            report.record_failure(
-                law,
-                f"gamma {left.source.render_obj(x)},{left.source.render_obj(y)}",
-                d.render_mor(lg),
-                d.render_mor(rg),
-            )
-    report.count()
-    if not d.mor_eq(left.u, right.u):
-        report.record_failure(law, "unit coherence", d.render_mor(left.u), d.render_mor(right.u))
+        check(law, d.mor_eq(lg, rg), lambda: f"gamma {src.render_obj(x)},{src.render_obj(y)}", lg, rg, rm)
+    check(law, d.mor_eq(left.u, right.u), "unit coherence", left.u, right.u, rm)
 
 
 def compare_nats(
@@ -140,15 +156,8 @@ def compare_nats(
 ):
     d = ambient or left.dom.target
     for x in objects:
-        report.count()
         lc, rc = left.component(x), right.component(x)
-        if not d.mor_eq(lc, rc):
-            report.record_failure(
-                law,
-                f"component {left.dom.source.render_obj(x)}",
-                d.render_mor(lc),
-                d.render_mor(rc),
-            )
+        report.check(law, d.mor_eq(lc, rc), lambda: f"component {left.dom.source.render_obj(x)}", lc, rc, d.render_mor)
 
 
 _CONSTRUCTIONS = (StrictifiedModel, NonStrictifiedModel)  # in report order

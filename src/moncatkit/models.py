@@ -10,6 +10,8 @@ through ``ThinStructure``.
 The four models that need no spec file are built in one place,
 ``BUILTIN_MODELS``, and ``default_universe`` chooses the objects and arrows
 any model is checked over; the CLI and the fixtures both read them.
+``validate_category`` checks the axioms over such a universe, counting,
+drawing and recording each instance through ``laws``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import CategoryModel, CompositionError, Morphism, arrows_over, check_pentagon, check_triangle
-from .laws import LawReport
+from .laws import LawReport, draws
 from .terms import (
     UNIT,
     MagmaTerm,
@@ -595,20 +597,22 @@ def default_universe(model: CategoryModel, max_leaves: int, seed: int) -> tuple[
     return objects, arrows_over(model, objects)
 
 
+MAX_ARROWS = 400  # validate_category samples larger arrow universes
+
+
 def validate_category(
     model: CategoryModel,
     objects: Optional[list] = None,
     morphisms: Optional[list[Morphism]] = None,
     seed: int = 0,
     max_instances: int = 20000,
-    max_arrows: int = 400,
 ) -> LawReport:
     """Check the category and monoidal axioms over a universe of the model.
 
     Finite models are checked exhaustively; for infinite models the caller
     supplies object/arrow samples (or the model offers sample_morphisms) and
-    oversized instance families are cut down deterministically from ``seed``.
-    Arrow universes beyond ``max_arrows`` are likewise sampled, since the
+    oversized instance families are cut down by ``laws.draws`` from ``seed``.
+    Arrow universes beyond ``MAX_ARROWS`` are likewise sampled, since the
     composable-pair scan is quadratic in them.
     """
     rng = random.Random(seed)
@@ -627,43 +631,20 @@ def validate_category(
         if sampler is None:
             raise ValueError(f"{model.name} cannot enumerate arrows; pass a morphism sample")
         morphisms = sampler(objects, rng)
-    if len(morphisms) > max_arrows:
-        morphisms = rng.sample(morphisms, max_arrows)
+    if len(morphisms) > MAX_ARROWS:
+        morphisms = rng.sample(morphisms, MAX_ARROWS)
 
-    def bounded(*pools):
-        """The full product when it fits the budget, else seeded draws from it."""
-        total = 1
-        for pool in pools:
-            total *= len(pool)
-        if total <= max_instances:
-            yield from itertools.product(*pools)
-        else:
-            for _ in range(max_instances):
-                yield tuple(pool[rng.randrange(len(pool))] for pool in pools)
-
-    def fail(law: str, instance, lhs, rhs):
-        # instance descriptors are built lazily; rendering every passing
-        # instance (matrices especially) would dominate the runtime
-        report.record_failure(
-            law,
-            instance() if callable(instance) else instance,
-            lhs if isinstance(lhs, str) else model.render_mor(lhs),
-            rhs if isinstance(rhs, str) else model.render_mor(rhs),
-        )
+    # instance labels are thunks: rendering every passing instance
+    # (matrices especially) would dominate the runtime
+    check, ro, rm, obj_eq, mor_eq = report.check, model.render_obj, model.render_mor, model.obj_eq, model.mor_eq
 
     def expect(law: str, instance, lhs: Morphism, rhs: Morphism):
-        report.count()
-        if not model.mor_eq(lhs, rhs):
-            fail(law, instance, lhs, rhs)
-
-    ro = model.render_obj
+        check(law, mor_eq(lhs, rhs), instance, lhs, rhs, rm)
 
     # identities and unit laws of composition
     for x in objects:
         i = model.identity(x)
-        report.count()
-        if not (model.obj_eq(i.dom, x) and model.obj_eq(i.cod, x)):
-            fail("identity-endpoints", ro(x), i, "expected endo-arrow")
+        check("identity-endpoints", obj_eq(i.dom, x) and obj_eq(i.cod, x), lambda: ro(x), i, "expected endo-arrow", rm)
     for f in morphisms:
         label = lambda f=f: model.render_mor(f)
         expect("compose-unit-right", label, model.compose(f, model.identity(f.dom)), f)
@@ -671,7 +652,7 @@ def validate_category(
 
     # associativity of composition
     pairs = [(g, f) for g in morphisms for f in morphisms if model.obj_eq(f.cod, g.dom)]
-    for (h, g), f in bounded(pairs, morphisms):
+    for (h, g), f in draws(rng, max_instances, pairs, morphisms):
         if not model.obj_eq(f.cod, g.dom):
             continue
         expect(
@@ -682,14 +663,14 @@ def validate_category(
         )
 
     # functoriality of tensor
-    for x, y in bounded(objects, objects):
+    for x, y in draws(rng, max_instances, objects, objects):
         expect(
             "tensor-identities",
             lambda x=x, y=y: f"{ro(x)},{ro(y)}",
             model.tensor_mor(model.identity(x), model.identity(y)),
             model.identity(model.tensor_obj(x, y)),
         )
-    for (g, f), (g2, f2) in bounded(pairs, pairs):
+    for (g, f), (g2, f2) in draws(rng, max_instances, pairs, pairs):
         expect(
             "tensor-interchange",
             lambda g=g, f=f, g2=g2, f2=f2: (
@@ -704,28 +685,25 @@ def validate_category(
     for x in objects:
         lun, lun_inv = model.lunitor(x), model.lunitor_inv(x)
         run, run_inv = model.runitor(x), model.runitor_inv(x)
-        report.count()
-        if not (model.obj_eq(lun.dom, model.tensor_obj(unit, x)) and model.obj_eq(lun.cod, x)):
-            fail("lunitor-endpoints", ro(x), lun, "expected unit(x)x -> x")
-        report.count()
-        if not (model.obj_eq(run.dom, model.tensor_obj(x, unit)) and model.obj_eq(run.cod, x)):
-            fail("runitor-endpoints", ro(x), run, "expected x(x)unit -> x")
         label = lambda x=x: ro(x)
+        lun_ok = obj_eq(lun.dom, model.tensor_obj(unit, x)) and obj_eq(lun.cod, x)
+        check("lunitor-endpoints", lun_ok, label, lun, "expected unit(x)x -> x", rm)
+        run_ok = obj_eq(run.dom, model.tensor_obj(x, unit)) and obj_eq(run.cod, x)
+        check("runitor-endpoints", run_ok, label, run, "expected x(x)unit -> x", rm)
         expect("lunitor-inverse", label, model.compose(lun, lun_inv), model.identity(x))
         expect("lunitor-inverse'", label, model.compose(lun_inv, lun), model.identity(lun.dom))
         expect("runitor-inverse", label, model.compose(run, run_inv), model.identity(x))
         expect("runitor-inverse'", label, model.compose(run_inv, run), model.identity(run.dom))
     expect("unitors-at-unit", ro(unit), model.lunitor(unit), model.runitor(unit))
 
-    obj_triples = list(bounded(objects, objects, objects))
+    obj_triples = list(draws(rng, max_instances, objects, objects, objects))
     for x, y, z in obj_triples:
         a, a_inv = model.associator(x, y, z), model.associator_inv(x, y, z)
         left = model.tensor_obj(model.tensor_obj(x, y), z)
         right = model.tensor_obj(x, model.tensor_obj(y, z))
         label = lambda x=x, y=y, z=z: f"{ro(x)},{ro(y)},{ro(z)}"
-        report.count()
-        if not (model.obj_eq(a.dom, left) and model.obj_eq(a.cod, right)):
-            fail("associator-endpoints", label, a, "expected (xy)z -> x(yz)")
+        a_ok = obj_eq(a.dom, left) and obj_eq(a.cod, right)
+        check("associator-endpoints", a_ok, label, a, "expected (xy)z -> x(yz)", rm)
         expect("associator-inverse", label, model.compose(a, a_inv), model.identity(right))
         expect("associator-inverse'", label, model.compose(a_inv, a), model.identity(left))
 
@@ -743,7 +721,7 @@ def validate_category(
             model.compose(model.runitor(f.cod), model.tensor_mor(f, model.identity(unit))),
             model.compose(f, model.runitor(f.dom)),
         )
-    for f, g, h in bounded(morphisms, morphisms, morphisms):
+    for f, g, h in draws(rng, max_instances, morphisms, morphisms, morphisms):
         lhs = model.compose(
             model.associator(f.cod, g.cod, h.cod),
             model.tensor_mor(model.tensor_mor(f, g), h),
@@ -760,15 +738,12 @@ def validate_category(
         )
 
     # pentagon and triangle
-    for x, y, z, m in bounded(objects, objects, objects, objects):
-        report.count()
-        if not check_pentagon(model, x, y, z, m):
-            fail("pentagon", f"{ro(x)},{ro(y)},{ro(z)},{ro(m)}", "left route", "right route")
+    for x, y, z, m in draws(rng, max_instances, objects, objects, objects, objects):
+        label = lambda: f"{ro(x)},{ro(y)},{ro(z)},{ro(m)}"
+        check("pentagon", check_pentagon(model, x, y, z, m), label, "left route", "right route", rm)
 
-    for x, y in bounded(objects, objects):
-        report.count()
-        if not check_triangle(model, x, y):
-            fail("triangle", f"{ro(x)},{ro(y)}", "via associator", "runitor x id")
+    for x, y in draws(rng, max_instances, objects, objects):
+        check("triangle", check_triangle(model, x, y), lambda: f"{ro(x)},{ro(y)}", "via associator", "runitor x id", rm)
 
     # a strict flag must mean identity constraints
     if model.is_strict:

@@ -301,8 +301,7 @@ def shapes_with_leaves(n: int) -> list[MagmaTerm]:
     return sorted(table[n], key=render_term)
 
 
-def enumerate_shapes(max_leaves: int, include_unit: bool = True) -> Iterator[MagmaTerm]:
+def enumerate_shapes(max_leaves: int) -> Iterator[MagmaTerm]:
     """Shapes by leaf count, then lexicographically on rendered text."""
-    start = 0 if include_unit else 1
-    for n in range(start, max_leaves + 1):
+    for n in range(max_leaves + 1):
         yield from shapes_with_leaves(n)

@@ -249,6 +249,59 @@ class TestGoldenOutput:
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+class TestFailureReportGoldens:
+    """A failing validation's report, pinned byte for byte in both formats."""
+
+    @pytest.mark.parametrize("fmt", ["json", "txt"])
+    def test_corrupted_ns2(self, capsys, tmp_path, fmt):
+        data = json.loads((fixture_dir() / "ns2.json").read_text())
+        data["compose"]["s,s"] = "s"
+        bad = tmp_path / "ns2_corrupt.json"
+        bad.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "--format", "json" if fmt == "json" else "text", "validate", str(bad))
+        assert code == 1
+        assert out == (GOLDEN / f"validate-ns2-corrupt.{fmt}").read_text(encoding="utf-8")
+
+
+class TestUniverseBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-leaves", "-1", "check", "--suite", "axioms", "thin"],
+            ["--max-leaves", "-1", "check", "--suite", "adjunction-q"],
+            ["--max-seq-len", "-1", "check", "--suite", "adjunction-str"],
+            ["--max-leaves", "-3", "validate", "thin"],
+        ],
+    )
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 0" in err
+
+    def test_zero_bound_is_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, "--max-leaves", "0", "validate", "thin")
+        assert code == 0
+
+
+class TestParserReuse:
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        from moncatkit import cli
+
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run_cli(capsys, "validate", "trivial")[0] == 0
+
+    def test_errors_and_answers_survive_reuse(self, capsys):
+        for _ in range(2):
+            assert run_cli(capsys, "--max-leaves", "x", "validate", "trivial")[0] == 2
+            assert run_cli(capsys, "check", "--suite", "nope")[0] == 2
+            code, out, _ = run_cli(capsys, "validate", "trivial")
+            assert code == 0 and "failures: 0" in out
+
+
 class TestEnvOverride:
     def test_fixture_dir_env_var(self, tmp_path, monkeypatch, capsys):
         shutil.copy(fixture_dir() / "trivial.json", tmp_path / "trivial.json")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +128,38 @@ class TestReportShape:
         report.record_failure("sub", "inst", "l", "r")
         text = report.to_text()
         assert "demo" in text and "FAIL sub @ inst" in text
+
+
+class TestFailureReportBytes:
+    """Failing comparison reports pinned byte for byte against recorded files."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    def test_every_functor_family_fails(self, ns2):
+        import dataclasses
+
+        from moncatkit.core import identity_functor
+
+        s = next(f for f in ns2.morphisms() if f.payload == "s")
+        left = identity_functor(ns2)
+        right = dataclasses.replace(
+            left, obj_map=lambda x: "A", mor_map=lambda f: s, gamma=lambda x, y: s, u=s
+        )
+        report = LawReport(law="probe")
+        compare_functors(report, "probe-functor", left, right, ["I", "A"], ns2.morphisms())
+        families = {failure.instance.split()[0] for failure in report.failures}
+        assert families == {"object", "arrow", "gamma", "unit"}
+        assert report.to_json() + "\n" == (self.GOLDEN / "report-compare-functors.json").read_text(encoding="utf-8")
+
+    def test_nat_component_fails(self, ns2):
+        from moncatkit.core import identity_functor, identity_nat
+        from moncatkit.laws import compare_nats
+
+        s = next(f for f in ns2.morphisms() if f.payload == "s")
+        ident = identity_functor(ns2)
+        twisted = NatTransData(
+            dom=ident, cod=ident, component=lambda x: s if x == "A" else ns2.identity(x), name="twisted"
+        )
+        report = LawReport(law="probe")
+        compare_nats(report, "probe-nat", identity_nat(ident), twisted, ["I", "A"])
+        assert report.to_json() + "\n" == (self.GOLDEN / "report-compare-nats.json").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +354,36 @@ class TestValidateUniverseHandling:
         two = validate_category(mat7, objects=[1, 2], seed=3, max_instances=500)
         assert one.universe_size == two.universe_size
         assert one.to_json() == two.to_json()
+
+
+class _WrongLunitorModel(FiniteTableCategory):
+    """ns2 whose left unitor at each object claims the other object as domain.
+
+    A spec file cannot express this (loading checks every endpoint), and
+    composition here does not check endpoints, so the validation runs to
+    the end and reports every law the bad domain breaks.
+    """
+
+    def _check_composable(self, g, f):
+        pass
+
+    def lunitor(self, x):
+        arrow = super().lunitor(x)
+        return Morphism("A" if x == "I" else "I", arrow.cod, arrow.payload)
+
+
+class TestFailureReportBytes:
+    """Failing validation reports pinned byte for byte against recorded files."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    def test_wrong_lunitor_domain(self):
+        model = _WrongLunitorModel(fixture_data("ns2"), name="ns2-bad-lunitor")
+        report = validate_category(model)
+        assert report.to_json() + "\n" == (self.GOLDEN / "report-wrong-lunitor.json").read_text(encoding="utf-8")
+
+    def test_sampled_corruption(self):
+        data = fixture_data("ns2")
+        data["compose"]["s,s"] = "s"
+        report = validate_category(FiniteTableCategory(data, name="ns2_corrupt"), seed=3, max_instances=6)
+        assert report.to_json() + "\n" == (self.GOLDEN / "report-ns2-corrupt-sampled.json").read_text(encoding="utf-8")
